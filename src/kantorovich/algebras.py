@@ -12,17 +12,15 @@ take a ``weight_on_first`` flag so the mirrored convention stays testable.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, dirac
+from .measures import DiscreteMeasure, _weights, dirac
 from .monad import NestedMeasure, expectation
-from .samplers import simplex_floats, simplex_fractions
+from .samplers import random_measure, simplex_floats, simplex_fractions
 from .spaces import NORMS, EuclideanSpace, vector_distance
-from .tolerances import TAU_WEIGHT
 
 
 class ConvexAlgebra:
@@ -56,16 +54,8 @@ class SimplexWeights:
     def __init__(self, entries: Sequence):
         if len(entries) == 0:
             raise ValidationError("invariant.weights", "empty weight vector")
-        exact = all(isinstance(w, (int, Fraction)) for w in entries)
-        vals = [Fraction(w) for w in entries] if exact else [float(w) for w in entries]
-        for w in vals:
-            if w < 0:
-                raise ValidationError("invariant.weights", "negative weight")
-        total = float(sum(vals)) if exact else math.fsum(vals)
-        if abs(total - 1.0) > TAU_WEIGHT:
-            raise ValidationError("invariant.weights", f"weights sum to {total!r}")
-        self.entries = tuple(float(w) for w in vals)
-        self.fractions = tuple(vals) if exact else None
+        _, floats, self.fractions = _weights(entries, "invariant.weights", "weight")
+        self.entries = tuple(floats.tolist())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -113,21 +103,13 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
         raise ValidationError("invariant.weights", "need one part per outer entry")
     exact = nu.fractions is not None and all(p.fractions is not None for p in parts)
     out: list = []
-    if exact:
-        for w, part in zip(nu.fractions, parts):
-            out.extend(w * v for v in part.fractions)
-    else:
-        for w, part in zip(nu.entries, parts):
-            out.extend(w * v for v in part.entries)
+    for w, part in zip(nu.fractions if exact else nu.entries, parts):
+        out.extend(w * v for v in (part.fractions if exact else part.entries))
     return SimplexWeights(out)
 
 
 # ---------------------------------------------------------------------------
 # law checks
-
-
-def _register(points: np.ndarray, norm: str) -> EuclideanSpace:
-    return EuclideanSpace(points, norm)
 
 
 def _random_points(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
@@ -141,16 +123,6 @@ def _random_points(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
             seen.add(key)
             out.append([float(v) for v in cand])
     return np.array(out)
-
-
-def _random_carrier_measure(rng: np.random.Generator, space, exact: bool) -> DiscreteMeasure:
-    k = int(rng.integers(1, space.n + 1))
-    support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
-    if exact:
-        weights: Sequence = simplex_fractions(rng, k, int(rng.integers(1, 13)))
-    else:
-        weights = simplex_floats(rng, k)
-    return DiscreteMeasure(space, support, weights)
 
 
 def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> dict[str, float]:
@@ -239,14 +211,14 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
     for _ in range(trials):
         k = int(rng.integers(2, 7))
         points = _random_points(rng, k, algebra.dim)
-        space = _register(points, algebra.norm).to_metric()
+        space = EuclideanSpace(points, algebra.norm).to_metric()
 
         i = int(rng.integers(0, k))
         worst["unit"] = max(worst["unit"], algebra.distance(
             barycenter(algebra, dirac(space, i)), points[i]))
 
         n_inner = int(rng.integers(1, 4))
-        inner = [_random_carrier_measure(rng, space, exact) for _ in range(n_inner)]
+        inner = [random_measure(rng, space, space.n, 12, exact) for _ in range(n_inner)]
         if exact:
             outer: Sequence = simplex_fractions(rng, n_inner, int(rng.integers(1, 13)))
         else:
@@ -273,7 +245,7 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
             mean_point(block_means), mean_point(flat)))
 
         matrix, offset = _random_short_affine(rng, algebra)
-        p = _random_carrier_measure(rng, space, exact)
+        p = random_measure(rng, space, space.n, 12, exact)
         image_points = points @ matrix.T + offset
         image_space = EuclideanSpace(image_points, algebra.norm).to_metric()
         weights = p.fractions if p.fractions is not None else list(p.weights)

@@ -21,7 +21,7 @@ from .measures import DiscreteMeasure
 from .monad import empirical_sym
 from .power import MultiSet
 from .samplers import RNG_ALGORITHM, rng_from
-from .transport import w1_flow, wasserstein1
+from .transport import _exact_weights, w1_flow, wasserstein1
 
 __all__ = [
     "ApproximationReport", "rationalize", "truncate_to_ball",
@@ -36,12 +36,6 @@ class ApproximationReport:
     w1_error: float
     bound: float | None
     params: dict
-
-
-def _exact_weights(p: DiscreteMeasure) -> list[Fraction]:
-    if p.fractions is not None:
-        return list(p.fractions)
-    return [Fraction(float(w)) for w in p.weights]
 
 
 def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
@@ -111,17 +105,20 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
         params={"center": int(center), "radius": float(radius)})
 
 
+def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:
+    """``size`` independent draws from p by inverse CDF over the canonical
+    support order."""
+    if size <= 0:
+        raise ValidationError("invariant.tuple", "sample size must be positive")
+    picks = np.searchsorted(np.cumsum(p.weights), rng.random(size), side="right")
+    picks = np.minimum(picks, len(p.support) - 1)
+    return MultiSet(p.space, [p.support[int(i)] for i in picks])
+
+
 def sample_empirical(p: DiscreteMeasure, size: int, seed: int = 0) -> MultiSet:
     """Draw an empirical sample of the given size by inverse CDF over the
     canonical support order (generator: numpy PCG64)."""
-    if size <= 0:
-        raise ValidationError("invariant.tuple", "sample size must be positive")
-    rng = rng_from(seed)
-    cum = np.cumsum(p.weights)
-    draws = rng.random(size)
-    picks = np.searchsorted(cum, draws, side="right")
-    picks = np.minimum(picks, len(p.support) - 1)
-    return MultiSet(p.space, [p.support[int(i)] for i in picks])
+    return _inverse_cdf(p, size, rng_from(seed))
 
 
 def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> list[dict]:
@@ -137,12 +134,7 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
         n = int(n)
         values = []
         for t in range(trials):
-            rng = rng_from(seed, n, t)
-            cum = np.cumsum(p.weights)
-            draws = rng.random(n)
-            picks = np.minimum(np.searchsorted(cum, draws, side="right"),
-                               len(p.support) - 1)
-            sample = MultiSet(p.space, [p.support[int(i)] for i in picks])
+            sample = _inverse_cdf(p, n, rng_from(seed, n, t))
             values.append(wasserstein1(empirical_sym(sample), p).cost)
         rows.append({"n": n, "median_w1": float(statistics.median(values)),
                      "trials": trials})

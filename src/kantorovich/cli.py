@@ -23,12 +23,20 @@ from .tolerances import TAU_METRIC, TAU_SOLVER
 from .transport import validate_coupling, wasserstein1
 
 
-def _emit(report: dict, out_format: str, csv_rows=None) -> int:
-    if out_format == "csv" and csv_rows is not None:
-        sys.stdout.write(csv_rows)
+def _emit(report: dict, out_format: str, csv=None) -> int:
+    """Write the report as canonical JSON, or as CSV text for ``--out csv``
+    when the command has a table: ``csv`` is a (header, row strings) pair."""
+    if out_format == "csv" and csv is not None:
+        header, rows = csv
+        sys.stdout.write("\n".join([header, *rows]) + "\n")
     else:
         sys.stdout.write(dump_canonical(report))
     return 0
+
+
+def _digests(args, *names: str) -> dict:
+    """sha256 of each named input file, for the report's ``inputs``."""
+    return {name: sha256_file(getattr(args, name)) for name in names}
 
 
 def _fail(exc: KantorovichError) -> int:
@@ -48,47 +56,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _transport_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--space", required=True, help="space file (.json or .csv)")
-    sub.add_argument("--p", required=True, help="first measure (.json)")
-    sub.add_argument("--q", required=True, help="second measure (.json)")
-    sub.add_argument("--solver", default="auto",
-                     choices=["auto", "assignment", "flow", "brute"])
-    sub.add_argument("--tolerance", type=float, default=TAU_SOLVER)
+def _common_args(sub: argparse.ArgumentParser, seed: bool = False,
+                 tolerance: float | None = None) -> None:
+    """The --seed, --tolerance and --out options, for the subcommands that take them."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if tolerance is not None:
+        sub.add_argument("--tolerance", type=float, default=tolerance)
     sub.add_argument("--out", default="json", choices=["json", "csv"])
 
 
-def _load_transport_inputs(args):
+def _solve(args):
+    """Load the space and both measures, solve, and start the report."""
     space = load_space(args.space, tau_metric=TAU_METRIC)
     p = load_measure(args.p, space)
     q = load_measure(args.q, space)
-    digests = {"space": sha256_file(args.space),
-               "p": sha256_file(args.p),
-               "q": sha256_file(args.q)}
-    return space, p, q, digests
-
-
-def _transport_report(args, result, digests) -> dict:
-    return {
+    result = wasserstein1(p, q, solver=args.solver)
+    return result, {
         "command": args.command,
         "cost": result.cost,
         "gap": result.gap,
         "solver": result.solver,
         "tolerance": args.tolerance,
-        "inputs": digests,
+        "inputs": _digests(args, "space", "p", "q"),
     }
 
 
 def _cmd_dist(args) -> int:
-    _, p, q, digests = _load_transport_inputs(args)
-    result = wasserstein1(p, q, solver=args.solver)
-    return _emit(_transport_report(args, result, digests), args.out)
+    return _emit(_solve(args)[1], args.out)
 
 
 def _cmd_coupling(args) -> int:
-    _, p, q, digests = _load_transport_inputs(args)
-    result = wasserstein1(p, q, solver=args.solver)
-    report = _transport_report(args, result, digests)
+    result, report = _solve(args)
     coupling = result.coupling
     report["coupling"] = {
         "rows": list(coupling.p.support),
@@ -96,21 +95,14 @@ def _cmd_coupling(args) -> int:
         "matrix": [[float(v) for v in row] for row in coupling.matrix],
     }
     report["coupling_violations"] = validate_coupling(coupling, args.tolerance)
-    if args.out == "csv":
-        lines = ["row,col,mass"]
-        for i, x in enumerate(coupling.p.support):
-            for j, y in enumerate(coupling.q.support):
-                mass = float(coupling.matrix[i, j])
-                if mass > 0.0:
-                    lines.append(f"{x},{y},{mass!r}")
-        return _emit(report, "csv", "\n".join(lines) + "\n")
-    return _emit(report, args.out)
+    rows = (f"{x},{y},{float(coupling.matrix[i, j])!r}"
+            for i, x in enumerate(coupling.p.support)
+            for j, y in enumerate(coupling.q.support) if coupling.matrix[i, j] > 0.0)
+    return _emit(report, args.out, ("row,col,mass", rows))
 
 
 def _cmd_dual(args) -> int:
-    _, p, q, digests = _load_transport_inputs(args)
-    result = wasserstein1(p, q, solver=args.solver)
-    report = _transport_report(args, result, digests)
+    result, report = _solve(args)
     dual = result.dual
     report["potential"] = {"points": list(dual.points),
                            "values": [float(v) for v in dual.values]}
@@ -122,9 +114,7 @@ def _cmd_power_dist(args) -> int:
     space = load_space(args.space, tau_metric=TAU_METRIC)
     left = load_indices(args.a)
     right = load_indices(args.b)
-    digests = {"space": sha256_file(args.space),
-               "a": sha256_file(args.a),
-               "b": sha256_file(args.b)}
+    digests = _digests(args, "space", "a", "b")
     if args.kind == "tuple":
         value = tuple_distance(PointTuple(space, left), PointTuple(space, right))
         solver = "direct"
@@ -143,26 +133,16 @@ def _cmd_power_dist(args) -> int:
     return _emit(report, args.out)
 
 
-def _law_report(command: str, results, extra: dict, out_format: str) -> tuple[dict, str | None]:
-    rows = [r.to_json() for r in results]
-    report = {"command": command, "all_pass": all(r.passed for r in results),
-              "results": rows, **extra}
-    csv_text = None
-    if out_format == "csv":
-        lines = ["law,trials,worst_discrepancy,tolerance,pass"]
-        for r in rows:
-            lines.append(f"{r['law']},{r['trials']},{r['worst_discrepancy']!r},"
-                         f"{r['tolerance']!r},{str(r['pass']).lower()}")
-        csv_text = "\n".join(lines) + "\n"
-    return report, csv_text
-
-
 def _cmd_laws(args) -> int:
-    results = run_law_suite(trials=args.trials, seed=args.seed,
-                            max_points=args.max_points, max_support=args.max_support)
-    extra = {"trials": args.trials, "seed": args.seed, "rng": RNG_ALGORITHM}
-    report, csv_text = _law_report("laws", results, extra, args.out)
-    code = _emit(report, args.out, csv_text)
+    results = [r.to_json() for r in run_law_suite(
+        trials=args.trials, seed=args.seed, max_points=args.max_points,
+        max_support=args.max_support)]
+    report = {"command": "laws", "all_pass": all(r["pass"] for r in results),
+              "results": results, "trials": args.trials, "seed": args.seed,
+              "rng": RNG_ALGORITHM}
+    rows = (f"{r['law']},{r['trials']},{r['worst_discrepancy']!r},"
+            f"{r['tolerance']!r},{str(r['pass']).lower()}" for r in results)
+    code = _emit(report, args.out, ("law,trials,worst_discrepancy,tolerance,pass", rows))
     return code if report["all_pass"] else 2
 
 
@@ -185,22 +165,16 @@ def _cmd_algebra_check(args) -> int:
         "worst": worst,
         "all_pass": all_pass,
     }
-    csv_text = None
-    if args.out == "csv":
-        lines = ["check,worst_discrepancy"]
-        for name in sorted(worst):
-            lines.append(f"{name},{worst[name]!r}")
-        csv_text = "\n".join(lines) + "\n"
-    code = _emit(report, args.out, csv_text)
+    rows = (f"{name},{worst[name]!r}" for name in sorted(worst))
+    code = _emit(report, args.out, ("check,worst_discrepancy", rows))
     return code if all_pass else 2
 
 
 def _cmd_approx(args) -> int:
     space = load_space(args.space, tau_metric=TAU_METRIC)
     p = load_measure(args.p, space)
-    digests = {"space": sha256_file(args.space), "p": sha256_file(args.p)}
-    base = {"command": "approx", "mode": args.mode, "inputs": digests,
-            "tolerance": args.tolerance}
+    base = {"command": "approx", "mode": args.mode,
+            "inputs": _digests(args, "space", "p"), "tolerance": args.tolerance}
     if args.mode == "rationalize":
         if args.epsilon is None:
             raise KantorovichError("cli.arguments", "--epsilon is required for rationalize")
@@ -215,13 +189,8 @@ def _cmd_approx(args) -> int:
         rows = convergence_study(p, sizes, trials=args.trials, seed=args.seed)
         report = {**base, "rows": rows, "trials": args.trials, "seed": args.seed,
                   "rng": RNG_ALGORITHM}
-        csv_text = None
-        if args.out == "csv":
-            lines = ["n,median_w1,trials"]
-            for row in rows:
-                lines.append(f"{row['n']},{row['median_w1']!r},{row['trials']}")
-            csv_text = "\n".join(lines) + "\n"
-        return _emit(report, args.out, csv_text)
+        lines = (f"{row['n']},{row['median_w1']!r},{row['trials']}" for row in rows)
+        return _emit(report, args.out, ("n,median_w1,trials", lines))
     report = {
         **base,
         "w1_error": report_obj.w1_error,
@@ -236,7 +205,6 @@ def _cmd_approx(args) -> int:
 def _cmd_sample(args) -> int:
     space = load_space(args.space, tau_metric=TAU_METRIC)
     p = load_measure(args.p, space)
-    digests = {"space": sha256_file(args.space), "p": sha256_file(args.p)}
     drawn = sample_empirical(p, args.size, seed=args.seed)
     report = {
         "command": "sample",
@@ -244,13 +212,9 @@ def _cmd_sample(args) -> int:
         "seed": args.seed,
         "rng": RNG_ALGORITHM,
         "entries": list(drawn.entries),
-        "inputs": digests,
+        "inputs": _digests(args, "space", "p"),
     }
-    csv_text = None
-    if args.out == "csv":
-        lines = ["index"] + [str(v) for v in drawn.entries]
-        csv_text = "\n".join(lines) + "\n"
-    return _emit(report, args.out, csv_text)
+    return _emit(report, args.out, ("index", (str(v) for v in drawn.entries)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,33 +228,34 @@ def build_parser() -> argparse.ArgumentParser:
                            ("coupling", "optimal coupling matrix"),
                            ("dual", "optimal dual potential and certified gap")]:
         sub = subs.add_parser(name, help=helptext)
-        _transport_args(sub)
+        sub.add_argument("--space", required=True, help="space file (.json or .csv)")
+        sub.add_argument("--p", required=True, help="first measure (.json)")
+        sub.add_argument("--q", required=True, help="second measure (.json)")
+        sub.add_argument("--solver", default="auto",
+                         choices=["auto", "assignment", "flow", "brute"])
+        _common_args(sub, tolerance=TAU_SOLVER)
 
     power = subs.add_parser("power-dist", help="distance between tuples or multisets")
     power.add_argument("--space", required=True)
     power.add_argument("--a", required=True, help="first index array (.json)")
     power.add_argument("--b", required=True, help="second index array (.json)")
     power.add_argument("--kind", default="tuple", choices=["tuple", "multiset"])
-    power.add_argument("--tolerance", type=float, default=TAU_SOLVER)
-    power.add_argument("--out", default="json", choices=["json", "csv"])
+    _common_args(power, tolerance=TAU_SOLVER)
 
     laws = subs.add_parser("laws", help="run the randomized law suite")
     laws.add_argument("--trials", type=int, default=100)
-    laws.add_argument("--seed", type=int, default=0)
     laws.add_argument("--max-points", type=int, default=6)
     laws.add_argument("--max-support", type=int, default=4)
-    laws.add_argument("--out", default="json", choices=["json", "csv"])
+    _common_args(laws, seed=True)
 
     algebra = subs.add_parser("algebra-check", help="check convex-algebra laws on R^d")
     algebra.add_argument("--dim", type=int, default=3)
     algebra.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
     algebra.add_argument("--trials", type=int, default=100)
-    algebra.add_argument("--seed", type=int, default=0)
-    algebra.add_argument("--tolerance", type=float, default=1e-10)
     algebra.add_argument("--weight-on-second", action="store_true",
                          help="flip the binary-operation convention so the "
                               "weight multiplies the second argument")
-    algebra.add_argument("--out", default="json", choices=["json", "csv"])
+    _common_args(algebra, seed=True, tolerance=1e-10)
 
     approx = subs.add_parser("approx", help="approximate a measure and certify the error")
     approx.add_argument("--space", required=True)
@@ -301,16 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--radius", type=float, default=None)
     approx.add_argument("--sizes", default="8,16,32,64,128")
     approx.add_argument("--trials", type=int, default=50)
-    approx.add_argument("--seed", type=int, default=0)
-    approx.add_argument("--tolerance", type=float, default=TAU_SOLVER)
-    approx.add_argument("--out", default="json", choices=["json", "csv"])
+    _common_args(approx, seed=True, tolerance=TAU_SOLVER)
 
     sample = subs.add_parser("sample", help="draw an empirical multiset from a measure")
     sample.add_argument("--space", required=True)
     sample.add_argument("--p", required=True)
     sample.add_argument("--size", type=int, required=True)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--out", default="json", choices=["json", "csv"])
+    _common_args(sample, seed=True)
 
     return parser
 

@@ -85,6 +85,13 @@ def _space_from_json(path: str) -> FiniteMetricSpace:
     raise ParseError("parse.space", f"{path}: unknown space kind {kind!r}")
 
 
+def _number(value, kind: type):
+    """``kind(value)`` for a JSON number; JSON booleans are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"boolean {value!r} is not a number")
+    return kind(value)
+
+
 def load_measure(path: str, space: FiniteMetricSpace) -> DiscreteMeasure:
     """Read a measure file; an exact {den, num} block beats float weights."""
     data = _read_json(path, "parse.measure")
@@ -95,15 +102,14 @@ def load_measure(path: str, space: FiniteMetricSpace) -> DiscreteMeasure:
         raise ParseError("parse.measure", f"{path}: support must be an array")
     try:
         if "den" in data or "num" in data:
-            den = int(data["den"])
-            nums = [int(v) for v in data["num"]]
-            weights = [Fraction(v, den) for v in nums]
+            den = _number(data["den"], int)
+            weights = [Fraction(_number(v, int), den) for v in data["num"]]
         else:
-            weights = [float(v) for v in data["weights"]]
-        return DiscreteMeasure(space, [int(i) for i in support], weights)
+            weights = [_number(v, float) for v in data["weights"]]
+        return DiscreteMeasure(space, [_number(i, int) for i in support], weights)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ParseError("parse.measure", f"{path}: malformed measure: {exc}") from exc
 
 
@@ -112,6 +118,8 @@ def load_indices(path: str) -> list:
     data = _read_json(path, "parse.indices")
     if not isinstance(data, list) or not data:
         raise ParseError("parse.indices", f"{path}: expected a non-empty JSON array")
+    if any(isinstance(v, bool) for v in data):
+        raise ParseError("parse.indices", f"{path}: booleans are not indices")
     return data
 
 

@@ -56,60 +56,12 @@ def _result(law: str, trials: int, worst: float, tol: float) -> LawResult:
 def run_law_suite(trials: int = 100, seed: int = 0, max_points: int = 6,
                   max_support: int = 4) -> list[LawResult]:
     """Run every law check; the CLI ``laws`` command is a thin wrapper."""
-    out: list[LawResult] = []
-
     monad_worst = check_monad_laws(MeasureSampler(max_points, max_support), trials,
                                    seed=seed)
-    out.append(_result("monad.left_unit", trials, monad_worst["left_unit"], EXACT_TOL))
-    out.append(_result("monad.right_unit", trials, monad_worst["right_unit"], EXACT_TOL))
-    out.append(_result("monad.associativity", trials, monad_worst["associativity"],
-                       EXACT_TOL))
-
-    out.append(_result("dirac.isometry", trials,
-                       _sweep(trials, seed, 11, _dirac_isometry), TAU_SOLVER))
-    out.append(_result("empirical.isometry", trials,
-                       _sweep(trials, seed, 12, _empirical_isometry), TAU_SOLVER))
-    out.append(_result("transport.first_moment", trials,
-                       _sweep(trials, seed, 13, _first_moment), TAU_SOLVER))
-    out.append(_result("transport.mixture_contraction", trials,
-                       _sweep(trials, seed, 14, _mixture_contraction), TAU_SOLVER))
-    out.append(_result("transport.pushforward_short", trials,
-                       _sweep(trials, seed, 15, _pushforward_short), TAU_SOLVER))
-    out.append(_result("transport.embedding_invariance", trials,
-                       _sweep(trials, seed, 16, _embedding_invariance), TAU_SOLVER))
-    out.append(_result("transport.duality_gap", trials,
-                       _sweep(trials, seed, 17, _duality_gap), TAU_SOLVER))
-    out.append(_result("transport.flow_vs_brute", trials,
-                       _sweep(trials, seed, 18, _flow_vs_brute), TAU_SOLVER))
-    out.append(_result("transport.symmetry", trials,
-                       _sweep(trials, seed, 19, _w1_symmetry), TAU_SOLVER))
-    out.append(_result("transport.triangle", trials,
-                       _sweep(trials, seed, 20, _w1_triangle), TAU_SOLVER))
-
-    out.append(_result("power.assignment_vs_lp", trials,
-                       _sweep(trials, seed, 21, _assignment_vs_lp), TAU_SOLVER))
-    out.append(_result("power.repeat_isometry", trials,
-                       _sweep(trials, seed, 22, _repeat_isometry), TAU_SOLVER))
-    out.append(_result("power.precompose_isometry", trials,
-                       _sweep(trials, seed, 23, _precompose_isometry), EXACT_TOL))
-    out.append(_result("power.quotient_naturality", trials,
-                       _sweep(trials, seed, 24, _quotient_naturality), 0.0))
-
-    out.append(_result("graded.unit_triangles", trials,
-                       _sweep(trials, seed, 25, _graded_units), 0.0))
-    out.append(_result("graded.associativity_tuple", trials,
-                       _sweep(trials, seed, 26, _assoc_tuple), 0.0))
-    out.append(_result("graded.associativity_multiset", trials,
-                       _sweep(trials, seed, 27, _assoc_multiset), 0.0))
-    out.append(_result("graded.double_quotient", trials,
-                       _sweep(trials, seed, 28, _double_quotient), 0.0))
-    out.append(_result("graded.flatten_isometry", trials,
-                       _sweep(trials, seed, 29, _flatten_isometry), EXACT_TOL))
-
-    out.append(_result("monad.expectation_flatten", trials,
-                       _sweep(trials, seed, 30, _expectation_flatten), 0.0))
-    out.append(_result("monad.ppx_square", trials,
-                       _sweep(trials, seed, 31, _ppx_square), 0.0))
+    out = [_result(f"monad.{law}", trials, worst, EXACT_TOL)
+           for law, worst in monad_worst.items()]
+    out += [_result(law, trials, _sweep(trials, seed, stream, check), tol)
+            for law, stream, check, tol in _SWEPT_LAWS]
     return out
 
 
@@ -320,3 +272,29 @@ def _ppx_square(rng) -> float:
     nms = random_nested_multiset(rng, space, int(rng.integers(1, 4)),
                                  int(rng.integers(1, 4)))
     return 0.0 if check_ppx_square(nms) else 1.0
+
+
+# (name, seed stream, one-trial check, tolerance), in report order.
+_SWEPT_LAWS = (
+    ("dirac.isometry", 11, _dirac_isometry, TAU_SOLVER),
+    ("empirical.isometry", 12, _empirical_isometry, TAU_SOLVER),
+    ("transport.first_moment", 13, _first_moment, TAU_SOLVER),
+    ("transport.mixture_contraction", 14, _mixture_contraction, TAU_SOLVER),
+    ("transport.pushforward_short", 15, _pushforward_short, TAU_SOLVER),
+    ("transport.embedding_invariance", 16, _embedding_invariance, TAU_SOLVER),
+    ("transport.duality_gap", 17, _duality_gap, TAU_SOLVER),
+    ("transport.flow_vs_brute", 18, _flow_vs_brute, TAU_SOLVER),
+    ("transport.symmetry", 19, _w1_symmetry, TAU_SOLVER),
+    ("transport.triangle", 20, _w1_triangle, TAU_SOLVER),
+    ("power.assignment_vs_lp", 21, _assignment_vs_lp, TAU_SOLVER),
+    ("power.repeat_isometry", 22, _repeat_isometry, TAU_SOLVER),
+    ("power.precompose_isometry", 23, _precompose_isometry, EXACT_TOL),
+    ("power.quotient_naturality", 24, _quotient_naturality, 0.0),
+    ("graded.unit_triangles", 25, _graded_units, 0.0),
+    ("graded.associativity_tuple", 26, _assoc_tuple, 0.0),
+    ("graded.associativity_multiset", 27, _assoc_multiset, 0.0),
+    ("graded.double_quotient", 28, _double_quotient, 0.0),
+    ("graded.flatten_isometry", 29, _flatten_isometry, EXACT_TOL),
+    ("monad.expectation_flatten", 30, _expectation_flatten, 0.0),
+    ("monad.ppx_square", 31, _ppx_square, 0.0),
+)

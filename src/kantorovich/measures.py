@@ -19,11 +19,50 @@ from .errors import ValidationError
 from .spaces import FiniteMetricSpace, same_space
 from .tolerances import TAU_WEIGHT
 
-_EXACT_TYPES = (int, Fraction)
 
+def _weights(values: Sequence, code: str, label: str, exact: bool = True,
+             keys: Sequence | None = None, order=None):
+    """The one exact-or-float weight check behind every weighted object.
 
-def _is_exact(values) -> bool:
-    return all(isinstance(w, _EXACT_TYPES) for w in values)
+    The weights stay exact (Fractions) when every entry is an int or a
+    Fraction and ``exact`` is set; a caller clears ``exact`` when one of its
+    inputs has already lost its exact weights. Entries must be finite and
+    nonnegative and sum to 1 within TAU_WEIGHT, else ValidationError(code).
+    Given ``keys``, the weights of equal keys are merged, zero weights are
+    dropped and the keys are sorted by ``order``.
+
+    Returns (keys, weights, fractions): the surviving keys as a tuple (None
+    without ``keys``), the weights as a read-only float array, and the exact
+    weights as a tuple, or None on the float path.
+    """
+    exact = exact and all(isinstance(w, (int, Fraction)) for w in values)
+    vals = [Fraction(w) if exact else float(w) for w in values]
+    for i, w in enumerate(vals):
+        if not (exact or math.isfinite(w)):
+            raise ValidationError(code, f"{label} {i} is not finite: {w!r}")
+        if w < 0:
+            raise ValidationError(code, f"{label} {i} is negative: {w!r}")
+    if keys is not None:
+        groups: dict = {}
+        for key, w in zip(keys, vals):
+            groups.setdefault(key, []).append(w)
+        add = sum if exact else math.fsum
+        keys, vals = [], []
+        for key in sorted(groups, key=order):
+            ws = groups[key]
+            w = ws[0] if len(ws) == 1 else add(ws)
+            if w != 0:
+                keys.append(key)
+                vals.append(w)
+        keys = tuple(keys)
+    # An exact sum stays exact (its float can overflow); the != 1 test spares
+    # the usual case the slow comparison of a Fraction with a float.
+    total = sum(vals) if exact else math.fsum(vals)
+    if total != 1 and abs(total - 1) > TAU_WEIGHT:
+        raise ValidationError(code, f"{label}s sum to {total}, not 1")
+    weights = np.array([float(w) for w in vals])
+    weights.setflags(write=False)
+    return keys, weights, tuple(vals) if exact else None
 
 
 class DiscreteMeasure:
@@ -41,40 +80,13 @@ class DiscreteMeasure:
             raise ValidationError("invariant.measure", "support/weights length mismatch")
         if len(support) == 0:
             raise ValidationError("invariant.measure", "empty support")
-        exact = _is_exact(weights)
-
-        merged: dict[int, object] = {}
-        for raw_idx, w in sorted(zip(support, weights), key=lambda kv: kv[0]):
-            idx = int(raw_idx)
-            if idx < 0 or idx >= space.n:
+        keys = [int(i) for i in support]
+        for idx in sorted(keys):
+            if not 0 <= idx < space.n:
                 raise ValidationError("invariant.measure", f"support index {idx} outside space")
-            if exact:
-                merged[idx] = merged.get(idx, Fraction(0)) + Fraction(w)
-            else:
-                merged.setdefault(idx, []).append(float(w))
-
-        supp: list[int] = []
-        vals: list = []
-        for idx in sorted(merged):
-            w = merged[idx] if exact else math.fsum(merged[idx])
-            if (exact and w == 0) or (not exact and w == 0.0):
-                continue
-            if w < 0:
-                raise ValidationError("invariant.measure", f"negative weight at index {idx}")
-            supp.append(idx)
-            vals.append(w)
-        if not supp:
-            raise ValidationError("invariant.measure", "empty support after dropping zeros")
-
-        total = float(sum(vals)) if exact else math.fsum(vals)
-        if abs(total - 1.0) > TAU_WEIGHT:
-            raise ValidationError("invariant.measure", f"weights sum to {total!r}, not 1")
-
         self.space = space
-        self.support = tuple(supp)
-        self.weights = np.array([float(w) for w in vals])
-        self.weights.setflags(write=False)
-        self.fractions = tuple(vals) if exact else None
+        self.support, self.weights, self.fractions = _weights(
+            weights, "invariant.measure", "weight", keys=keys)
 
     @classmethod
     def from_rational(cls, space: FiniteMetricSpace, support: Sequence[int],
@@ -148,28 +160,14 @@ def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMe
     for m in measures[1:]:
         if not same_space(space, m.space):
             raise ValidationError("invariant.measure", "mixture components live on different spaces")
-    if any((float(c) if not isinstance(c, _EXACT_TYPES) else c) < 0 for c in coeffs):
-        raise ValidationError("invariant.weights", "mixture coefficients must be nonnegative")
-    total = math.fsum(float(c) for c in coeffs)
-    if abs(total - 1.0) > TAU_WEIGHT:
-        raise ValidationError("invariant.weights", f"mixture coefficients sum to {total!r}")
-
-    exact = _is_exact(coeffs) and all(m.fractions is not None for m in measures)
+    _, floats, fractions = _weights(coeffs, "invariant.weights", "mixture coefficient",
+                                    exact=all(m.fractions is not None for m in measures))
+    exact = fractions is not None
     support: list[int] = []
     weights: list = []
-    for c, m in zip(coeffs, measures):
-        if exact:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            support.extend(m.support)
-            weights.extend(c * w for w in m.fractions)
-        else:
-            c = float(c)
-            if c == 0.0:
-                continue
-            support.extend(m.support)
-            weights.extend(c * w for w in m.weights)
+    for c, m in zip(fractions if exact else floats, measures):
+        support.extend(m.support)
+        weights.extend(c * w for w in (m.fractions if exact else m.weights))
     return DiscreteMeasure(space, support, weights)
 
 
@@ -189,15 +187,9 @@ def weight_discrepancy(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     if not same_space(p.space, q.space):
         return math.inf
     exact = p.fractions is not None and q.fractions is not None
-    worst: object = Fraction(0) if exact else 0.0
-    for idx in sorted(set(p.support) | set(q.support)):
-        if exact:
-            diff = abs(p.fraction_of(idx) - q.fraction_of(idx))
-        else:
-            diff = abs(p.weight_of(idx) - q.weight_of(idx))
-        if diff > worst:
-            worst = diff
-    return float(worst)
+    return float(max(abs(p.fraction_of(i) - q.fraction_of(i)) if exact
+                     else abs(p.weight_of(i) - q.weight_of(i))
+                     for i in set(p.support) | set(q.support)))
 
 
 def measures_equal(p: DiscreteMeasure, q: DiscreteMeasure,

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import DiscreteMeasure, dirac, mixture, weight_discrepancy
+from .measures import DiscreteMeasure, _weights, dirac, mixture, weight_discrepancy
 from .power import MultiSet, PointTuple, multiset_distance
+from .samplers import simplex_floats, simplex_fractions
 from .spaces import FiniteMetricSpace, same_space
-from .tolerances import TAU_WEIGHT
 from .transport import w1_flow
 
 
@@ -36,41 +36,15 @@ class NestedMeasure:
         for m in inner:
             if not same_space(space, m.space):
                 raise ValidationError("invariant.measure", "inner measure on a different space")
-        exact = (all(isinstance(w, (int, Fraction)) for w in outer_weights)
-                 and all(m.fractions is not None for m in inner))
-
-        merged: dict = {}
-        keep: dict = {}
-        for m, w in zip(inner, outer_weights):
-            key = m.canonical_key()
-            if exact:
-                merged[key] = merged.get(key, Fraction(0)) + Fraction(w)
-            else:
-                merged.setdefault(key, []).append(float(w))
-            keep.setdefault(key, m)
-
-        roster: list[DiscreteMeasure] = []
-        weights: list = []
-        for key in sorted(merged, key=_roster_order):
-            w = merged[key] if exact else math.fsum(merged[key])
-            if (exact and w == 0) or (not exact and w == 0.0):
-                continue
-            if w < 0:
-                raise ValidationError("invariant.measure", "negative outer weight")
-            roster.append(keep[key])
-            weights.append(w)
-        if not roster:
-            raise ValidationError("invariant.measure", "empty outer support")
-
-        total = float(sum(weights)) if exact else math.fsum(weights)
-        if abs(total - 1.0) > TAU_WEIGHT:
-            raise ValidationError("invariant.measure", f"outer weights sum to {total!r}")
-
+        keys = [m.canonical_key() for m in inner]
+        first: dict = {}
+        for key, m in zip(keys, inner):
+            first.setdefault(key, m)
+        keys, self.outer_weights, self.outer_fractions = _weights(
+            outer_weights, "invariant.measure", "outer weight",
+            exact=all(m.fractions is not None for m in inner), keys=keys, order=_roster_order)
         self.space = space
-        self.inner = tuple(roster)
-        self.outer_weights = np.array([float(w) for w in weights])
-        self.outer_weights.setflags(write=False)
-        self.outer_fractions = tuple(weights) if exact else None
+        self.inner = tuple(first[key] for key in keys)
 
     def __len__(self) -> int:
         return len(self.inner)
@@ -89,15 +63,14 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
     rosters; infinity when the rosters differ as sets."""
     if len(a) != len(b):
         return math.inf
+    exact = a.outer_fractions is not None and b.outer_fractions is not None
     worst = 0.0
-    for ma, mb, wa, wb in zip(a.inner, b.inner, a.outer_weights, b.outer_weights):
+    for ma, mb, wa, wb in zip(a.inner, b.inner,
+                              a.outer_fractions if exact else a.outer_weights,
+                              b.outer_fractions if exact else b.outer_weights):
         if ma.support != mb.support:
             return math.inf
-        worst = max(worst, weight_discrepancy(ma, mb))
-        worst = max(worst, abs(float(wa) - float(wb)))
-    if a.outer_fractions is not None and b.outer_fractions is not None:
-        exact = max(abs(x - y) for x, y in zip(a.outer_fractions, b.outer_fractions))
-        worst = max(worst, float(exact))
+        worst = max(worst, weight_discrepancy(ma, mb), float(abs(wa - wb)))
     return worst
 
 
@@ -169,21 +142,16 @@ def nested_expectation_outer(outer_coeffs: Sequence,
     innermost layer untouched."""
     if len(outer_coeffs) != len(nested) or not nested:
         raise ValidationError("invariant.measure", "need one coefficient per nested measure")
-    space = nested[0].space
+    _, floats, fractions = _weights(
+        outer_coeffs, "invariant.measure", "outer coefficient",
+        exact=all(nu.outer_fractions is not None for nu in nested))
+    exact = fractions is not None
     inner: list[DiscreteMeasure] = []
     weights: list = []
-    exact = (all(isinstance(c, (int, Fraction)) for c in outer_coeffs)
-             and all(nu.outer_fractions is not None for nu in nested))
-    for c, nu in zip(outer_coeffs, nested):
-        if exact:
-            c = Fraction(c)
-            inner.extend(nu.inner)
-            weights.extend(c * w for w in nu.outer_fractions)
-        else:
-            c = float(c)
-            inner.extend(nu.inner)
-            weights.extend(c * float(w) for w in nu.outer_weights)
-    return NestedMeasure(space, inner, weights)
+    for c, nu in zip(fractions if exact else floats, nested):
+        inner.extend(nu.inner)
+        weights.extend(c * w for w in (nu.outer_fractions if exact else nu.outer_weights))
+    return NestedMeasure(nested[0].space, inner, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +219,10 @@ def check_monad_laws(sampler, trials: int, seed: int = 0,
     on it. With exact-weight samples every discrepancy is exactly 0.0.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
+
+    def coeffs(k: int) -> list:
+        return simplex_fractions(rng, k, 16) if exact else simplex_floats(rng, k)
+
     worst = {"left_unit": 0.0, "right_unit": 0.0, "associativity": 0.0}
     for _ in range(trials):
         space = sampler.space(rng)
@@ -266,8 +238,8 @@ def check_monad_laws(sampler, trials: int, seed: int = 0,
         for _i in range(k):
             js = int(rng.integers(1, 4))
             inner = [sampler.measure(rng, space) for _j in range(js)]
-            nested.append(NestedMeasure(space, inner, _coeffs(rng, js, exact)))
-        outer = _coeffs(rng, k, exact)
+            nested.append(NestedMeasure(space, inner, coeffs(js)))
+        outer = coeffs(k)
 
         inner_first = expectation(NestedMeasure(space, [expectation(nu) for nu in nested], outer))
         outer_first = expectation(nested_expectation_outer(outer, nested))
@@ -275,16 +247,3 @@ def check_monad_laws(sampler, trials: int, seed: int = 0,
                                      weight_discrepancy(inner_first, outer_first))
     return worst
 
-
-def _coeffs(rng: np.random.Generator, k: int, exact: bool, den: int = 16):
-    """Random simplex weights: exact fractions or strictly positive floats."""
-    if exact:
-        cuts = sorted(int(c) for c in rng.integers(0, den + 1, size=k - 1))
-        parts = []
-        prev = 0
-        for c in [*cuts, den]:
-            parts.append(Fraction(c - prev, den))
-            prev = c
-        return parts
-    raw = rng.random(k) + 1e-3
-    return list(raw / raw.sum())

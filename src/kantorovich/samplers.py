@@ -16,7 +16,6 @@ import numpy as np
 
 from .graded import NestedMultiSet, NestedTuple
 from .measures import DiscreteMeasure
-from .monad import NestedMeasure
 from .power import FinUnifMap, MultiSet, PointTuple
 from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace
 
@@ -135,18 +134,6 @@ def random_finunif(rng: np.random.Generator, codomain_size: int,
     """Uniform-fiber surjection with a shuffled domain."""
     values = np.repeat(np.arange(codomain_size), fiber)
     return FinUnifMap([int(v) for v in rng.permutation(values)], codomain_size)
-
-
-def random_nested_measure(rng: np.random.Generator, space: FiniteMetricSpace,
-                          max_outer: int = 3, max_support: int = 4,
-                          max_den: int = 12, exact: bool = True) -> NestedMeasure:
-    k = int(rng.integers(1, max_outer + 1))
-    inner = [random_measure(rng, space, max_support, max_den, exact) for _ in range(k)]
-    if exact:
-        outer: Sequence = simplex_fractions(rng, k, int(rng.integers(1, max_den + 1)))
-    else:
-        outer = simplex_floats(rng, k)
-    return NestedMeasure(space, inner, outer)
 
 
 class MeasureSampler:

@@ -27,9 +27,9 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class FiniteMetricSpace:
     """A finite (pseudo)metric space given by its distance table.
 
-    The constructor checks shape only; axiom checking is the job of
-    :func:`validate_metric` so that defective tables can still be built,
-    inspected, and reported on.
+    The constructor checks shape and finiteness only; axiom checking is the
+    job of :func:`validate_metric` so that defective tables can still be
+    built, inspected, and reported on.
     """
 
     __slots__ = ("dist", "pseudometric_ok", "coords")
@@ -40,6 +40,8 @@ class FiniteMetricSpace:
             raise ValidationError("invariant.space", "distance table must be square")
         if table.shape[0] == 0:
             raise ValidationError("invariant.space", "space must be non-empty")
+        if not np.isfinite(table).all():
+            raise ValidationError("invariant.space", "distance table has non-finite entries")
         table.setflags(write=False)
         self.dist = table
         self.pseudometric_ok = bool(pseudometric_ok)
@@ -87,6 +89,8 @@ class EuclideanSpace:
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("invariant.space", "roster must be a non-empty 2d array")
+        if not np.isfinite(pts).all():
+            raise ValidationError("invariant.space", "roster has non-finite coordinates")
         if norm not in NORMS:
             raise ValidationError("invariant.space", f"unknown norm {norm!r}")
         pts.setflags(write=False)

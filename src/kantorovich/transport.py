@@ -20,7 +20,6 @@ f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at the first support point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .measures import DiscreteMeasure
+from .power import multiset_distance_bruteforce
 from .spaces import same_space
 from .tolerances import TAU_METRIC, TAU_SOLVER, TAU_WEIGHT
 
@@ -272,21 +272,25 @@ def w1_flow(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     return _assemble(p, q, flow, cost, "flow")
 
 
-def _uniform_expansion(p: DiscreteMeasure) -> list[int] | None:
-    """Support indices repeated by multiplicity, when p is uniform on them."""
+def _expansion_size(p: DiscreteMeasure) -> int | None:
+    """Length of p's point-multiset expansion: the common denominator of
+    exact weights, the support size of (near-)uniform float weights, and
+    None for any other float weights."""
     if p.fractions is not None:
-        den = p.denominator
-        out: list[int] = []
-        for x, w in zip(p.support, p.fractions):
-            k = w * den
-            if k.denominator != 1:
-                return None
-            out.extend([x] * int(k))
-        return out
+        return p.denominator
     w0 = float(p.weights[0])
     if any(abs(float(w) - w0) > TAU_WEIGHT for w in p.weights):
         return None
-    return list(p.support)
+    return len(p.support)
+
+
+def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
+    """Support indices repeated by multiplicity, _expansion_size(p) of them."""
+    if p.fractions is None:
+        return list(p.support)
+    from .monad import multiset_from_measure  # monad imports this module
+
+    return list(multiset_from_measure(p).entries)
 
 
 def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
@@ -298,18 +302,16 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
     least common size first.
     """
     _require_same_space(p, q)
-    left = _uniform_expansion(p)
-    right = _uniform_expansion(q)
-    if left is None or right is None:
+    sizes = (_expansion_size(p), _expansion_size(q))
+    if None in sizes:
         raise ValidationError("solver.unsupported",
                               "assignment solver needs empirical (uniform) measures")
-    size = math.lcm(len(left), len(right))
-    if size > max_expansion:
+    n = math.lcm(*sizes)
+    if n > max_expansion:
         raise ValidationError("invariant.size_cap",
-                              f"common multiset size {size} exceeds cap {max_expansion}")
-    left = left * (size // len(left))
-    right = right * (size // len(right))
-    n = len(left)
+                              f"common multiset size {n} exceeds cap {max_expansion}")
+    left = _uniform_expansion(p) * (n // sizes[0])
+    right = _uniform_expansion(q) * (n // sizes[1])
     table = p.space.dist
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
 
@@ -332,25 +334,10 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure, max_expansion: int = 8
     if d > max_expansion:
         raise ValidationError("invariant.size_cap",
                               f"common denominator {d} exceeds cap {max_expansion}")
-    left: list[int] = []
-    for x, w in zip(p.support, p.fractions):
-        left.extend([x] * int(w * d))
-    right: list[int] = []
-    for y, w in zip(q.support, q.fractions):
-        right.extend([y] * int(w * d))
+    from .monad import multiset_from_measure  # monad imports this module
 
-    table = p.space.dist
-    cost = table[np.ix_(left, right)]
-    best = math.inf
-    for perm in itertools.permutations(range(d)):
-        total = 0.0
-        for i, j in enumerate(perm):
-            total += cost[i, j]
-            if total >= best:
-                break
-        else:
-            best = total
-    return best / d
+    return multiset_distance_bruteforce(multiset_from_measure(p, d),
+                                        multiset_from_measure(q, d), max_n=d)
 
 
 def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,
@@ -375,10 +362,8 @@ def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,
                                   f"brute force {oracle!r} != flow {result.cost!r}")
         return TransportResult(cost=oracle, coupling=result.coupling, dual=result.dual,
                                gap=result.gap, solver="brute")
-    left = _uniform_expansion(p)
-    right = _uniform_expansion(q)
-    if (left is not None and right is not None
-            and math.lcm(len(left), len(right)) <= 256):
+    sizes = (_expansion_size(p), _expansion_size(q))
+    if None not in sizes and math.lcm(*sizes) <= 256:
         return w1_assignment(p, q)
     return w1_flow(p, q)
 

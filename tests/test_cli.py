@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -6,6 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from kantorovich.cli import main
 
 CLI = [sys.executable, "-m", "kantorovich.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -242,3 +248,69 @@ def test_usage_errors_exit_one_with_error_json(fixtures):
         assert proc.returncode == 1, argv
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "cli.arguments"
+
+
+# Malformed inputs for the fuzz test below: NaN, Infinity, booleans, strings,
+# nulls and integers of any size (so out-of-range indices), in ragged or empty
+# arrays, next to well-formed files that the mutations start from.
+_NUMBER = st.one_of(st.integers(-2, 6), st.integers(), st.floats(), st.booleans(),
+                    st.text(max_size=2), st.none())
+_ARRAY = st.one_of(st.lists(_NUMBER, max_size=4), _NUMBER)
+_GRID = st.lists(_ARRAY, max_size=4)
+_SPACES = st.one_of(
+    st.just({"kind": "matrix", "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}),
+    st.fixed_dictionaries({"kind": st.just("matrix"), "dist": _GRID}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["euclidean", "graph"]), "points": _GRID,
+                           "norm": st.sampled_from(["l1", "l2", "linf", "lp"])}),
+    _NUMBER)
+_MEASURES = st.one_of(
+    st.just({"support": [0, 1], "den": 2, "num": [1, 1]}),
+    st.fixed_dictionaries({"support": _ARRAY, "weights": _ARRAY}),
+    st.fixed_dictionaries({"support": _ARRAY, "den": _NUMBER, "num": _ARRAY}),
+    _NUMBER)
+_GOOD_SPACE = {"kind": "matrix", "dist": [[0, 1], [1, 0]]}
+_GOOD_MEASURE = {"support": [1], "weights": [1.0]}
+
+
+def _has_boolean(data) -> bool:
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        return any(_has_boolean(v) for v in data)
+    return isinstance(data, bool)
+
+
+@given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "sample"]),
+       space=_SPACES, p=_MEASURES, q=_MEASURES)
+@example(command="auto", space=_GOOD_SPACE,
+         p={"support": [0, 1], "weights": [float("nan"), 0.5]}, q=_GOOD_MEASURE)
+@example(command="auto", space={"kind": "matrix", "dist": [[0, float("nan")], [float("nan"), 0]]},
+         p={"support": [0], "weights": [1.0]}, q=_GOOD_MEASURE)
+@example(command="auto", space=_GOOD_SPACE, p={"support": [True], "weights": [1.0]},
+         q={"support": [0], "weights": [1.0]})
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q):
+    # In-process, so that many inputs cost no interpreter start-ups: exit 0,
+    # or exit 1 with nothing on stdout and error JSON with a code on stderr.
+    # JSON true/false in a measure file is no number: such a file is refused.
+    paths = {}
+    for name, data in (("space", space), ("p", p), ("q", q)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    inputs = ["--space", paths["space"], "--p", paths["p"]]
+    if command == "sample":
+        argv = ["sample", *inputs, "--size", "5"]
+    else:
+        argv = ["dist", *inputs, "--q", paths["q"], "--solver", command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if any(_has_boolean(m) for m in ([p] if command == "sample" else [p, q])):
+        assert code == 1
+    if code == 1:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["code"]
+    else:
+        json.loads(out.getvalue())

@@ -74,6 +74,21 @@ def test_measure_parse_errors(tmp_path, line3):
         load_measure(str(path), line3)
 
 
+def test_booleans_are_not_numbers(tmp_path, line3):
+    # JSON true is a Python int, so it used to be read as index or weight 1.
+    path = tmp_path / "m.json"
+    for data in ({"support": [True], "weights": [1.0]},
+                 {"support": [0], "weights": [True]},
+                 {"support": [0], "den": True, "num": [1]},
+                 {"support": [0], "den": 1, "num": [True]}):
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="boolean"):
+            load_measure(str(path), line3)
+    path.write_text("[0, true]")
+    with pytest.raises(ParseError, match="boolean"):
+        load_indices(str(path))
+
+
 def test_indices(tmp_path):
     path = tmp_path / "idx.json"
     path.write_text("[0, 1, 1]")

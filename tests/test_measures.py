@@ -30,6 +30,15 @@ def test_weights_must_be_a_distribution(line3):
         DiscreteMeasure(line3, [0], [0.5])
 
 
+def test_non_finite_weights_rejected(line3):
+    # NaN compares False with everything, so it slipped past the sum check.
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="not finite"):
+            DiscreteMeasure(line3, [0, 1], [bad, 0.5])
+        with pytest.raises(ValidationError, match="not finite"):
+            mixture([bad, 0.5], [dirac(line3, 0), dirac(line3, 1)])
+
+
 def test_float_weights_have_no_fraction_view(line3):
     p = DiscreteMeasure(line3, [0, 1], [0.3, 0.7])
     assert p.fractions is None

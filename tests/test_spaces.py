@@ -18,6 +18,14 @@ def test_construction_and_lookup(line3):
         FiniteMetricSpace([[0, 1], [1, 0], [1, 1]])  # not square
 
 
+def test_non_finite_tables_rejected():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="non-finite"):
+            FiniteMetricSpace([[0, bad], [bad, 0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            EuclideanSpace([[0.0], [bad]])
+
+
 def test_table_is_frozen(line3):
     with pytest.raises(ValueError):
         line3.dist[0, 1] = 99.0
