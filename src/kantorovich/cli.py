@@ -10,6 +10,7 @@ tolerance, so shell scripts can tell "input was bad" from "mathematics broke".
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .algebras import ConvexAlgebra, check_algebra_laws, check_metric_compat, convex_axioms
@@ -56,13 +57,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _option(convert, what: str, accept=lambda value: True):
+    """argparse type: ``convert(text)`` if that succeeds and passes
+    ``accept``, else an invocation error saying the text is not ``what``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+# Seeds feed a SeedSequence; NaN and the infinities have no JSON form.
+_SEED = _option(int, "a nonnegative integer", lambda value: value >= 0)
+_FINITE = _option(float, "a finite number", math.isfinite)
+_SIZES = _option(lambda text: [int(s) for s in text.split(",") if s],
+                 "a comma-separated list of integers")
+
+
 def _common_args(sub: argparse.ArgumentParser, seed: bool = False,
                  tolerance: float | None = None) -> None:
     """The --seed, --tolerance and --out options, for the subcommands that take them."""
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_SEED, default=0)
     if tolerance is not None:
-        sub.add_argument("--tolerance", type=float, default=tolerance)
+        sub.add_argument("--tolerance", type=_FINITE, default=tolerance)
     sub.add_argument("--out", default="json", choices=["json", "csv"])
 
 
@@ -89,15 +112,16 @@ def _cmd_dist(args) -> int:
 def _cmd_coupling(args) -> int:
     result, report = _solve(args)
     coupling = result.coupling
+    matrix = coupling.matrix
     report["coupling"] = {
         "rows": list(coupling.p.support),
         "cols": list(coupling.q.support),
-        "matrix": [[float(v) for v in row] for row in coupling.matrix],
+        "matrix": [[float(v) for v in row] for row in matrix],
     }
     report["coupling_violations"] = validate_coupling(coupling, args.tolerance)
-    rows = (f"{x},{y},{float(coupling.matrix[i, j])!r}"
+    rows = (f"{x},{y},{float(matrix[i, j])!r}"
             for i, x in enumerate(coupling.p.support)
-            for j, y in enumerate(coupling.q.support) if coupling.matrix[i, j] > 0.0)
+            for j, y in enumerate(coupling.q.support) if matrix[i, j] > 0.0)
     return _emit(report, args.out, ("row,col,mass", rows))
 
 
@@ -185,8 +209,7 @@ def _cmd_approx(args) -> int:
                                    "--center and --radius are required for truncate")
         report_obj = truncate_to_ball(p, args.center, args.radius)
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        rows = convergence_study(p, sizes, trials=args.trials, seed=args.seed)
+        rows = convergence_study(p, args.sizes, trials=args.trials, seed=args.seed)
         report = {**base, "rows": rows, "trials": args.trials, "seed": args.seed,
                   "rng": RNG_ALGORITHM}
         lines = (f"{row['n']},{row['median_w1']!r},{row['trials']}" for row in rows)
@@ -261,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--space", required=True)
     approx.add_argument("--p", required=True)
     approx.add_argument("--mode", required=True, choices=["rationalize", "truncate", "study"])
-    approx.add_argument("--epsilon", type=float, default=None)
+    approx.add_argument("--epsilon", type=_FINITE, default=None)
     approx.add_argument("--center", type=int, default=None)
-    approx.add_argument("--radius", type=float, default=None)
-    approx.add_argument("--sizes", default="8,16,32,64,128")
+    approx.add_argument("--radius", type=_FINITE, default=None)
+    approx.add_argument("--sizes", type=_SIZES, default="8,16,32,64,128")
     approx.add_argument("--trials", type=int, default=50)
     _common_args(approx, seed=True, tolerance=TAU_SOLVER)
 

@@ -86,9 +86,12 @@ def _space_from_json(path: str) -> FiniteMetricSpace:
 
 
 def _number(value, kind: type):
-    """``kind(value)`` for a JSON number; JSON booleans are not numbers."""
+    """``kind(value)`` for a JSON number, which must be an integer when
+    ``kind`` is int; JSON booleans, strings and arrays are not numbers."""
     if isinstance(value, bool):
         raise TypeError(f"boolean {value!r} is not a number")
+    if not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"{value!r} is not {'an integer' if kind is int else 'a number'}")
     return kind(value)
 
 
@@ -114,13 +117,14 @@ def load_measure(path: str, space: FiniteMetricSpace) -> DiscreteMeasure:
 
 
 def load_indices(path: str) -> list:
-    """Read a JSON integer array (tuples/multisets; possibly nested)."""
+    """Read a non-empty JSON array of integer point indices (a tuple or multiset)."""
     data = _read_json(path, "parse.indices")
     if not isinstance(data, list) or not data:
         raise ParseError("parse.indices", f"{path}: expected a non-empty JSON array")
-    if any(isinstance(v, bool) for v in data):
-        raise ParseError("parse.indices", f"{path}: booleans are not indices")
-    return data
+    try:
+        return [_number(v, int) for v in data]
+    except TypeError as exc:
+        raise ParseError("parse.indices", f"{path}: {exc}") from exc
 
 
 def measure_to_json(p: DiscreteMeasure) -> dict:

@@ -14,3 +14,6 @@ EXACT_TOL = 1e-12
 
 # Cap on distance-table entries (carrier size squared) for product spaces.
 MAX_TABLE_ENTRIES = 1_000_000
+
+# Work budget of the exact transport engine: support pairs m * n per solve.
+MAX_SUPPORT_PAIRS = 32_768

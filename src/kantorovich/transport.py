@@ -2,28 +2,38 @@
 
 Three primal routes are provided and cross-certified:
 
-* ``w1_flow``      - successive shortest paths on the bipartite support
-                     graph, run entirely in exact rational arithmetic
-                     (floats are exact rationals), so couplings, potentials
-                     and the duality gap are certified rather than hoped.
+* ``w1_flow``      - the plan of the exact transport engine: primal-dual
+                     successive shortest paths on the bipartite support
+                     graph, in Python integers (weights over their common
+                     denominator, float costs over one power of two), so
+                     couplings, potentials and the duality gap are
+                     certified rather than hoped.
 * ``w1_assignment``- optimal assignment for uniform measures of equal
                      multiset size.
 * ``w1_bruteforce``- permutation scan over the common-denominator expansion;
                      the oracle the other two are tested against.
 
-Every route reports optimal dual potentials. They are recovered from the
-optimal coupling via the complementary-slackness difference constraints
-(Bellman-Ford; a negative cycle would certify non-optimality) and folded
-into a single 1-Lipschitz function on the joint support by the transform
-f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at the first support point.
+Every route reports optimal dual potentials. The engine's node potentials
+are optimal LP duals, and any optimal dual satisfies complementary
+slackness with any optimal plan, so the assignment route takes them too.
+The right-side duals v are folded into a single 1-Lipschitz function on
+the joint support by the transform f(z) = min_j (d(z, y_j) - v_j),
+normalized to 0 at the first support point; the duality gap of the
+reported plan against that function is computed exactly.
+
+Results keep no m x n array. A coupling stores only its nonzero entries:
+the engine's plan has m + n - 1 of them where no ties in the cost table
+make the optimum degenerate, and a few more where ties do. A potential
+stores its values as one float array.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -32,38 +42,63 @@ from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .power import multiset_distance_bruteforce
 from .spaces import same_space
-from .tolerances import TAU_METRIC, TAU_SOLVER, TAU_WEIGHT
+from .tolerances import MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT
 
 SOLVERS = ("auto", "assignment", "flow", "brute")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Coupling:
     """A joint measure with prescribed marginals, as a support matrix.
 
     ``matrix[i, j]`` is the mass moved from p.support[i] to q.support[j].
+    Only the nonzero entries are stored: their flat positions in the
+    matrix, in the smallest unsigned type that holds every position, and
+    their masses. ``matrix`` rebuilds the dense read-only array on each
+    access, so take it once.
     """
 
     p: DiscreteMeasure
     q: DiscreteMeasure
-    matrix: np.ndarray
+    shape: tuple[int, ...]
+    _index: np.ndarray
+    _mass: np.ndarray
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    def __init__(self, p: DiscreteMeasure, q: DiscreteMeasure, matrix):
+        dense = np.asarray(matrix, dtype=float)
+        index = np.flatnonzero(dense).astype(np.min_scalar_type(dense.size))
+        for name, value in (("p", p), ("q", q), ("shape", dense.shape),
+                            ("_index", index), ("_mass", dense.ravel()[index])):
+            object.__setattr__(self, name, value)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense.flat[self._index] = self._mass
+        dense.setflags(write=False)
+        return dense
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPotential:
-    """A function on the joint support, 1-Lipschitz within tau_metric."""
+    """A function on the joint support, 1-Lipschitz within tau_metric.
+
+    ``values`` is a read-only float array aligned with ``points``.
+    """
 
     points: tuple[int, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     def value_at(self, index: int) -> float:
-        return self.values[self.points.index(index)]
+        return float(self.values[self.points.index(index)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportResult:
     cost: float
     coupling: Coupling
@@ -84,135 +119,104 @@ def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact successive-shortest-paths engine
+# exact transport engine
+
+# An optimal plan as its nonzero entries (i, j, mass): mass moved from
+# p.support[i] to q.support[j].
+_Plan = list[tuple[int, int, Fraction]]
 
 
-def _ssp_flow(a: list[Fraction], b: list[Fraction],
-              cost: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Min-cost transport plan between exact supply and demand vectors.
+def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, list[Fraction]]:
+    """Optimal plan between p and q and its right-side LP duals v.
 
-    Nodes 0..m-1 are supplies, m..m+n-1 demands. Each phase runs Bellman-Ford
-    from every supply with mass left (backward arcs carry negative cost, so
-    Dijkstra would need reduced costs; exact Bellman-Ford keeps the code
-    short and the arithmetic certified) and augments along a shortest path.
-    Ties are broken by lowest index throughout, which makes the plan
-    deterministic.
+    Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 9), exact in Python integers: weights are scaled by their
+    common denominator, and float costs, being dyadic rationals, by one
+    power of two. Nodes 0..m-1 are supplies, m..m+n-1 demands; the node
+    potentials keep every reduced cost cost[i][j] + pot[i] - pot[m + j]
+    nonnegative. Each phase runs Dijkstra on reduced costs from every supply
+    with mass left, stops at the first demand with a deficit, lifts each
+    potential by min(distance, target distance) and augments along the path.
+    Heap ties break by node index, which makes the plan deterministic. At
+    the end pot[m + j] over the cost scale is an optimal dual v_j.
+
+    Supply equals demand exactly and every supply reaches every demand, so
+    each phase finds a path, and each augmentation meets at least one unit
+    of the integer demand, so the phases end. Their work grows with the
+    support pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
     """
-    m, n = len(a), len(b)
-    arem = list(a)
-    brem = list(b)
-    flow = [[Fraction(0)] * n for _ in range(m)]
-    guard = 4 * (m + n) * (m + n) + 16
+    m, n = len(p.support), len(q.support)
+    if m * n > MAX_SUPPORT_PAIRS:
+        raise ValidationError("invariant.size_cap",
+                              f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
+    a = _exact_weights(p)
+    b = _exact_weights(q)
+    # Float weights are exact binary rationals whose sums can differ from one
+    # another in the last few ulps; the network needs supply == demand
+    # exactly, so rescale one side (a no-op for weights that sum to 1).
+    if sum(a) != sum(b):
+        scale = sum(a) / sum(b)
+        b = [w * scale for w in b]
+    den = math.lcm(*(w.denominator for w in a + b))
+    supply = [w.numerator * (den // w.denominator) for w in a]
+    demand = [w.numerator * (den // w.denominator) for w in b]
+    ratios = [[c.as_integer_ratio() for c in row]
+              for row in p.space.dist[np.ix_(p.support, q.support)].tolist()]
+    unit = max(d for row in ratios for _, d in row)
+    cost = [[num * (unit // d) for num, d in row] for row in ratios]
+    pot = [0] * (m + n)
+    flow = [[0] * n for _ in range(m)]
 
-    for _ in range(guard):
-        if not any(brem):
-            return flow
-        dist: list[Fraction | None] = [None] * (m + n)
-        pred: list[int] = [-1] * (m + n)
-        for i in range(m):
-            if arem[i] > 0:
-                dist[i] = Fraction(0)
-        for _round in range(m + n):
-            changed = False
-            for i in range(m):
-                di = dist[i]
-                if di is None:
-                    continue
-                row = cost[i]
-                for j in range(n):
-                    nd = di + row[j]
-                    k = m + j
-                    dk = dist[k]
-                    if dk is None or nd < dk:
-                        dist[k] = nd
-                        pred[k] = i
-                        changed = True
-            for i in range(m):
-                row = flow[i]
-                for j in range(n):
-                    if row[j] > 0 and dist[m + j] is not None:
-                        nd = dist[m + j] - cost[i][j]
-                        di = dist[i]
-                        if di is None or nd < di:
-                            dist[i] = nd
-                            pred[i] = m + j
-                            changed = True
-            if not changed:
-                break
-
-        target = -1
-        for j in range(n):
-            if brem[j] > 0 and dist[m + j] is not None:
-                if target < 0 or dist[m + j] < dist[m + target]:
-                    target = j
-        if target < 0:
-            raise ValidationError("solver.infeasible", "no augmenting path (unbalanced problem)")
-
-        # Trace predecessor chain back to an untouched supply node.
-        arcs: list[tuple[int, int, bool]] = []  # (i, j, forward)
-        node = m + target
+    while any(demand):
+        dist = [math.inf] * (m + n)
+        pred = [-1] * (m + n)
+        done = [False] * (m + n)
+        heap = [(0, i) for i in range(m) if supply[i]]
+        for _, i in heap:
+            dist[i] = 0
+        # A settled node is never relaxed again: its distance is already no
+        # larger than the one being offered.
         while True:
-            prev = pred[node]
-            if node >= m:
-                arcs.append((prev, node - m, True))
-                node = prev
+            d, node = heapq.heappop(heap)
+            if done[node]:
+                continue
+            done[node] = True
+            if node < m:
+                base = d + pot[node]
+                for k, c in enumerate(cost[node], m):
+                    nd = base + c - pot[k]
+                    if nd < dist[k]:
+                        dist[k], pred[k] = nd, node
+                        heapq.heappush(heap, (nd, k))
+            elif demand[node - m]:
+                break
             else:
-                if prev < 0:
-                    break
-                arcs.append((node, prev - m, False))
-                node = prev
+                # Arcs back along positive flow are tight: reduced cost 0.
+                for i in range(m):
+                    if flow[i][node - m] and d < dist[i]:
+                        dist[i], pred[i] = d, node
+                        heapq.heappush(heap, (d, i))
+        for k in range(m + n):
+            pot[k] += dist[k] if done[k] else d
 
-        theta = min(arem[node], brem[target])
-        for i, j, forward in arcs:
-            if not forward:
-                theta = min(theta, flow[i][j])
-        for i, j, forward in arcs:
-            if forward:
-                flow[i][j] += theta
-            else:
-                flow[i][j] -= theta
-        arem[node] -= theta
-        brem[target] -= theta
+        # The path alternates demand, supply, demand, ... back to a supply
+        # with mass left; supply path[k] (k odd) gains flow towards
+        # path[k - 1] and gives it up towards path[k + 1].
+        path = [node]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        pushes = [(path[k], path[k - 1] - m) for k in range(1, len(path), 2)]
+        pulls = [(path[k], path[k + 1] - m) for k in range(1, len(path) - 1, 2)]
+        theta = min(supply[path[-1]], demand[node - m], *(flow[i][j] for i, j in pulls))
+        for i, j in pushes:
+            flow[i][j] += theta
+        for i, j in pulls:
+            flow[i][j] -= theta
+        supply[path[-1]] -= theta
+        demand[node - m] -= theta
 
-    raise ValidationError("solver.stalled", "augmentation limit exceeded")
-
-
-def _dual_from_coupling(cost: list[list[Fraction]],
-                        flow: list[list[Fraction]]) -> tuple[list[Fraction], list[Fraction]]:
-    """Optimal LP duals (u, v) for a given optimal plan.
-
-    Solves the difference-constraint system u_i + v_j <= c_ij (all arcs),
-    with equality on support arcs, by Bellman-Ford from a virtual source.
-    A remaining relaxation after |V| rounds means a negative cycle, i.e. the
-    plan was not optimal; that is reported as a solver fault.
-    """
-    m, n = len(flow), len(flow[0]) if flow else 0
-    dist: list[Fraction] = [Fraction(0)] * (m + n)
-    for _round in range(m + n + 1):
-        changed = False
-        for i in range(m):
-            ci = cost[i]
-            fi = flow[i]
-            for j in range(n):
-                # arc Rj -> Li, weight c_ij   (u_i - (-v_j) <= c_ij)
-                nd = dist[m + j] + ci[j]
-                if nd < dist[i]:
-                    dist[i] = nd
-                    changed = True
-                # arc Li -> Rj, weight -c_ij, present when mass moves on (i,j)
-                if fi[j] > 0:
-                    nd = dist[i] - ci[j]
-                    if nd < dist[m + j]:
-                        dist[m + j] = nd
-                        changed = True
-        if not changed:
-            break
-    else:
-        raise ValidationError("solver.not_optimal", "negative cycle: coupling is not optimal")
-
-    u = [dist[i] for i in range(m)]
-    v = [-dist[m + j] for j in range(n)]
-    return u, v
+    plan = [(i, j, Fraction(f, den)) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
+    return plan, [Fraction(pot[m + j], unit) for j in range(n)]
 
 
 def _kantorovich_potential(p: DiscreteMeasure, q: DiscreteMeasure,
@@ -226,30 +230,25 @@ def _kantorovich_potential(p: DiscreteMeasure, q: DiscreteMeasure,
     return points, [val - base for val in raw]
 
 
-def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, flow: list[list[Fraction]],
-              cost: list[list[Fraction]], solver: str) -> TransportResult:
-    a = _exact_weights(p)
-    b = _exact_weights(q)
-    u, v = _dual_from_coupling(cost, flow)
+def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
+              v: list[Fraction], solver: str) -> TransportResult:
+    """Result for an optimal plan and optimal right-side duals, with the
+    duality gap between them computed exactly."""
     points, fvals = _kantorovich_potential(p, q, v)
     fmap = dict(zip(points, fvals))
-
-    cost_exact = sum(flow[i][j] * cost[i][j]
-                     for i in range(len(a)) for j in range(len(b)))
-    dual_exact = (sum(w * fmap[x] for x, w in zip(p.support, a))
-                  - sum(w * fmap[y] for y, w in zip(q.support, b)))
+    table = p.space.dist
+    cost_exact = sum(f * Fraction(float(table[p.support[i], q.support[j]]))
+                     for i, j, f in plan)
+    dual_exact = (sum(w * fmap[x] for x, w in zip(p.support, _exact_weights(p)))
+                  - sum(w * fmap[y] for y, w in zip(q.support, _exact_weights(q))))
     gap = abs(cost_exact - dual_exact)
 
-    matrix = np.array([[float(f) for f in row] for row in flow])
-    coupling = Coupling(p, q, matrix)
-    dual = DualPotential(points, tuple(float(f) for f in fvals))
-    return TransportResult(cost=float(cost_exact), coupling=coupling, dual=dual,
+    matrix = np.zeros((len(p.support), len(q.support)))
+    for i, j, f in plan:
+        matrix[i, j] = float(f)
+    dual = DualPotential(points, [float(f) for f in fvals])
+    return TransportResult(cost=float(cost_exact), coupling=Coupling(p, q, matrix), dual=dual,
                            gap=float(gap), solver=solver)
-
-
-def _cost_table(p: DiscreteMeasure, q: DiscreteMeasure) -> list[list[Fraction]]:
-    table = p.space.dist
-    return [[Fraction(float(table[i, j])) for j in q.support] for i in p.support]
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +256,10 @@ def _cost_table(p: DiscreteMeasure, q: DiscreteMeasure) -> list[list[Fraction]]:
 
 
 def w1_flow(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
-    """Exact W1 via successive shortest paths; works for any weight pattern."""
+    """Exact W1 from the transport engine; works for any weight pattern."""
     _require_same_space(p, q)
-    cost = _cost_table(p, q)
-    a = _exact_weights(p)
-    b = _exact_weights(q)
-    # Float weights are exact binary rationals whose sums can differ from one
-    # another in the last few ulps; the network needs supply == demand
-    # exactly, so rescale one side (a no-op for weights that sum to 1).
-    if sum(a) != sum(b):
-        scale = sum(a) / sum(b)
-        b = [w * scale for w in b]
-    flow = _ssp_flow(a, b, cost)
-    return _assemble(p, q, flow, cost, "flow")
+    plan, v = _transport_plan(p, q)
+    return _assemble(p, q, plan, v, "flow")
 
 
 def _expansion_size(p: DiscreteMeasure) -> int | None:
@@ -299,7 +289,9 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
 
     Both measures must expand to point multisets; replicating a multiset
     leaves the measure fixed, so unequal expansions are lifted to their
-    least common size first.
+    least common size first. The duals come from the transport engine: any
+    optimal dual certifies any optimal plan, and the exact gap shows how far
+    the float assignment falls short of one.
     """
     _require_same_space(p, q)
     sizes = (_expansion_size(p), _expansion_size(q))
@@ -310,6 +302,7 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
     if n > max_expansion:
         raise ValidationError("invariant.size_cap",
                               f"common multiset size {n} exceeds cap {max_expansion}")
+    v = _transport_plan(p, q)[1]
     left = _uniform_expansion(p) * (n // sizes[0])
     right = _uniform_expansion(q) * (n // sizes[1])
     table = p.space.dist
@@ -317,11 +310,10 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
 
     pos_p = {x: i for i, x in enumerate(p.support)}
     pos_q = {y: j for j, y in enumerate(q.support)}
-    unit = Fraction(1, n)
-    flow = [[Fraction(0)] * len(q.support) for _ in p.support]
-    for r, c in zip(rows, cols):
-        flow[pos_p[left[r]]][pos_q[right[c]]] += unit
-    return _assemble(p, q, flow, _cost_table(p, q), "assignment")
+    pairs = Counter((pos_p[left[r]], pos_q[right[c]])
+                    for r, c in zip(rows.tolist(), cols.tolist()))
+    plan = [(i, j, Fraction(k, n)) for (i, j), k in pairs.items()]
+    return _assemble(p, q, plan, v, "assignment")
 
 
 def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure, max_expansion: int = 8) -> float:
@@ -380,13 +372,14 @@ def coupling_cost(c: Coupling) -> float:
 
 def validate_coupling(c: Coupling, tau_weight: float = TAU_WEIGHT) -> list[str]:
     """Report marginal and positivity violations; empty list means valid."""
+    matrix = c.matrix
     out: list[str] = []
-    if c.matrix.shape != (len(c.p.support), len(c.q.support)):
-        return [f"shape {c.matrix.shape} does not match supports"]
-    if float(np.min(c.matrix)) < -tau_weight:
-        out.append(f"negative entry {float(np.min(c.matrix))!r}")
-    rows = np.sum(c.matrix, axis=1)
-    cols = np.sum(c.matrix, axis=0)
+    if matrix.shape != (len(c.p.support), len(c.q.support)):
+        return [f"shape {matrix.shape} does not match supports"]
+    if float(np.min(matrix)) < -tau_weight:
+        out.append(f"negative entry {float(np.min(matrix))!r}")
+    rows = np.sum(matrix, axis=1)
+    cols = np.sum(matrix, axis=0)
     worst_row = float(np.max(np.abs(rows - c.p.weights)))
     worst_col = float(np.max(np.abs(cols - c.q.weights)))
     if worst_row > tau_weight:
@@ -403,7 +396,7 @@ def w1_dual_value(p: DiscreteMeasure, q: DiscreteMeasure, f: DualPotential) -> f
     support (slack tau_metric).
     """
     _require_same_space(p, q)
-    fmap = dict(zip(f.points, f.values))
+    fmap = dict(zip(f.points, f.values.tolist()))
     needed = set(p.support) | set(q.support)
     missing = needed - set(f.points)
     if missing:

@@ -268,8 +268,18 @@ _MEASURES = st.one_of(
     st.fixed_dictionaries({"support": _ARRAY, "weights": _ARRAY}),
     st.fixed_dictionaries({"support": _ARRAY, "den": _NUMBER, "num": _ARRAY}),
     _NUMBER)
+# Index files for power-dist: flat arrays of any entries, and nested arrays.
+_INDICES = st.one_of(st.lists(_NUMBER, min_size=1, max_size=4), st.lists(_ARRAY, max_size=3))
+# Values of --seed, --epsilon, --radius and --sizes.
+_OPTION = st.one_of(st.integers(-2, 4).map(str),
+                    st.sampled_from(["x", "4,x", "3,2", "0.5", "nan", "inf", "-inf"]))
 _GOOD_SPACE = {"kind": "matrix", "dist": [[0, 1], [1, 0]]}
 _GOOD_MEASURE = {"support": [1], "weights": [1.0]}
+
+
+def _is_index_array(data) -> bool:
+    """A non-empty flat array of JSON integers, as power-dist reads."""
+    return isinstance(data, list) and bool(data) and all(type(v) is int for v in data)
 
 
 def _has_boolean(data) -> bool:
@@ -280,34 +290,66 @@ def _has_boolean(data) -> bool:
     return isinstance(data, bool)
 
 
-@given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "sample"]),
-       space=_SPACES, p=_MEASURES, q=_MEASURES)
+@given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "sample", "laws",
+                                "tuple", "multiset", "rationalize", "truncate", "study"]),
+       space=_SPACES, p=st.one_of(_MEASURES, _INDICES), q=st.one_of(_MEASURES, _INDICES),
+       option=_OPTION)
 @example(command="auto", space=_GOOD_SPACE,
-         p={"support": [0, 1], "weights": [float("nan"), 0.5]}, q=_GOOD_MEASURE)
+         p={"support": [0, 1], "weights": [float("nan"), 0.5]}, q=_GOOD_MEASURE, option="0")
 @example(command="auto", space={"kind": "matrix", "dist": [[0, float("nan")], [float("nan"), 0]]},
-         p={"support": [0], "weights": [1.0]}, q=_GOOD_MEASURE)
+         p={"support": [0], "weights": [1.0]}, q=_GOOD_MEASURE, option="0")
 @example(command="auto", space=_GOOD_SPACE, p={"support": [True], "weights": [1.0]},
-         q={"support": [0], "weights": [1.0]})
+         q={"support": [0], "weights": [1.0]}, option="0")
+@example(command="tuple", space=_GOOD_SPACE, p=[0, "a"], q=[0, 1], option="0")
+@example(command="multiset", space=_GOOD_SPACE, p=[[0], [1]], q=[0, 1], option="0")
+@example(command="tuple", space=_GOOD_SPACE, p=[0, 1.5], q=[0, 1], option="0")
+@example(command="laws", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
+@example(command="sample", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
+@example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="4,x")
+@example(command="rationalize", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option="nan")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q):
+def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, option):
     # In-process, so that many inputs cost no interpreter start-ups: exit 0,
     # or exit 1 with nothing on stdout and error JSON with a code on stderr.
-    # JSON true/false in a measure file is no number: such a file is refused.
+    # JSON true/false in a measure or index file is no number: such a file
+    # is refused, and so is an index file that is not a flat array of
+    # integers. ``option`` is the value of the one numeric option a command
+    # takes from the fuzzer.
     paths = {}
     for name, data in (("space", space), ("p", p), ("q", q)):
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(data))
     inputs = ["--space", paths["space"], "--p", paths["p"]]
+    read = [p]
     if command == "sample":
-        argv = ["sample", *inputs, "--size", "5"]
+        argv = ["sample", *inputs, "--size", "5", "--seed", option]
+    elif command == "laws":
+        argv, read = ["laws", "--trials", "1", "--seed", option], []
+    elif command in ("tuple", "multiset"):
+        argv = ["power-dist", "--space", paths["space"], "--a", paths["p"], "--b", paths["q"],
+                "--kind", command]
+        read = [p, q]
+    elif command == "rationalize":
+        argv = ["approx", *inputs, "--mode", command, "--epsilon", option]
+    elif command == "truncate":
+        argv = ["approx", *inputs, "--mode", command, "--center", "0", "--radius", option]
+    elif command == "study":
+        argv = ["approx", *inputs, "--mode", command, "--sizes", option, "--trials", "2"]
     else:
         argv = ["dist", *inputs, "--q", paths["q"], "--solver", command]
+        read = [p, q]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused an option value
+            code = exc.code
     assert code in (0, 1)
-    if any(_has_boolean(m) for m in ([p] if command == "sample" else [p, q])):
+    if any(_has_boolean(m) for m in read):
+        assert code == 1
+    if argv[0] == "power-dist" and not all(_is_index_array(m) for m in read):
         assert code == 1
     if code == 1:
         assert out.getvalue() == ""

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantorovich import (Coupling, DiscreteMeasure, DualPotential, MultiSet,
-                         ValidationError, bistochastic_min, coupling_cost,
-                         dirac, first_moment, mixture, validate_coupling,
-                         w1_assignment, w1_bruteforce, w1_dual_value, w1_flow,
-                         wasserstein1)
+from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpace,
+                         FiniteMetricSpace, MultiSet, ValidationError,
+                         bistochastic_min, coupling_cost, dirac, empirical_sym,
+                         first_moment, mixture, validate_coupling, w1_assignment,
+                         w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
 from kantorovich.samplers import (random_measure, random_metric_space,
                                   random_rational_pair, rng_from)
+from kantorovich.tolerances import MAX_SUPPORT_PAIRS, TAU_SOLVER
+from kantorovich.transport import _transport_plan
 
 
 def test_hand_checked_line_instance(half_half, quarter_three):
@@ -211,3 +213,98 @@ def test_duality_gap_property(case):
     assert 0.0 <= result.gap <= 1e-8
     # the reported dual is feasible and attains the cost
     assert w1_dual_value(p, q, result.dual) == pytest.approx(result.cost, abs=1e-9)
+
+
+def test_assignment_plan_off_by_rounding_is_certified_not_refused():
+    # linear_sum_assignment works in floats; on this l2 instance its plan
+    # misses the exact optimum by rounding, which the exact gap reports.
+    space = EuclideanSpace([[1, 7], [0, 6], [4, 3], [7, 3], [2, 5], [2, 6], [2, 4], [0, 0],
+                            [2, 0], [0, 2], [2, 3], [7, 1], [3, 5], [4, 6], [7, 0], [3, 2]],
+                           "l2").to_metric()
+    p = empirical_sym(MultiSet(space, [7, 6, 2, 1, 9, 10, 15, 15]))
+    q = empirical_sym(MultiSet(space, [14, 13, 15, 13, 3, 3, 12, 2]))
+    assert w1_flow(p, q).cost == 3.399271679685392
+    for result in (wasserstein1(p, q), w1_assignment(p, q)):
+        assert result.solver == "assignment"
+        assert result.cost == 3.399271679685392
+        assert validate_coupling(result.coupling) == []
+        assert result.gap <= TAU_SOLVER
+
+
+def _grid_space(rng, count: int, norm: str) -> FiniteMetricSpace:
+    """``count`` distinct integer grid points; l1 and linf give integer tables."""
+    cells = rng.choice(4 * count * count, size=count, replace=False)
+    return EuclideanSpace(np.stack(np.divmod(cells, 2 * count), axis=1), norm).to_metric()
+
+
+def _network_simplex_cost(nx, p: DiscreteMeasure, q: DiscreteMeasure, den: int) -> int:
+    """Optimal cost, times den, from networkx on the integer-scaled instance."""
+    graph = nx.DiGraph()
+    for side, m, sign in (("p", p, -1), ("q", q, 1)):
+        for x, w in zip(m.support, m.fractions):
+            graph.add_node((side, x), demand=sign * int(w * den))
+    for x in p.support:
+        for y in q.support:
+            graph.add_edge(("p", x), ("q", y), weight=int(p.space.d(x, y)))
+    return nx.network_simplex(graph)[0]
+
+
+def test_flow_matches_network_simplex_beyond_brute_force():
+    nx = pytest.importorskip("networkx")
+    for trial in range(30):
+        rng = rng_from(17, trial)
+        n = int(rng.integers(12, 41))
+        den = (60, 360, 997)[trial % 3]
+        space = _grid_space(rng, 2 * n, ("l1", "linf")[trial % 2])
+
+        def measure():
+            support = rng.choice(2 * n, size=n, replace=False).tolist()
+            cuts = np.sort(rng.choice(np.arange(1, den), size=n - 1, replace=False))
+            return DiscreteMeasure.from_rational(space, support,
+                                                 np.diff([0, *cuts, den]).tolist(), den)
+
+        p, q = measure(), measure()
+        result = w1_flow(p, q)
+        assert result.cost == _network_simplex_cost(nx, p, q, den) / den
+        assert result.gap == 0.0
+
+
+def test_engine_refuses_work_above_its_budget():
+    n = int(MAX_SUPPORT_PAIRS ** 0.5) + 1
+    line = np.arange(2 * n, dtype=float)
+    space = FiniteMetricSpace(np.abs(line[:, None] - line[None, :]))
+    p = DiscreteMeasure(space, list(range(n)), [Fraction(1, n)] * n)
+    q = DiscreteMeasure(space, list(range(n, 2 * n)), [Fraction(1, n)] * n)
+    for solver in ("flow", "assignment", "auto", "brute"):
+        with pytest.raises(ValidationError, match="support pairs") as info:
+            wasserstein1(p, q, solver=solver)
+        assert info.value.code == "invariant.size_cap"
+
+
+def test_results_keep_only_the_nonzero_plan():
+    rng = rng_from(18, 0)
+    space = _grid_space(rng, 80, "l1")
+    counts = rng.integers(1, 10, size=40).tolist()
+    p = DiscreteMeasure.from_rational(space, list(range(40)), counts, sum(counts))
+    q = DiscreteMeasure(space, list(range(40, 80)), [1 / 40] * 40)
+    result = w1_flow(p, q)
+    plan = np.zeros((40, 40))
+    for i, j, mass in _transport_plan(p, q)[0]:
+        plan[i, j] = float(mass)
+    matrix = result.coupling.matrix
+    assert not matrix.flags.writeable
+    assert matrix.tobytes() == plan.tobytes()
+    assert validate_coupling(result.coupling) == []
+    assert coupling_cost(result.coupling) == pytest.approx(result.cost, abs=1e-12)
+    assert not result.dual.values.flags.writeable
+    assert result.dual.value_at(0) == 0.0
+    # any dense array round-trips bit for bit, and both checks read it whole
+    dense = plan + 1e-3 * rng.random((40, 40)) * (rng.random((40, 40)) < 0.5)
+    coupling = Coupling(p, q, dense)
+    assert coupling.matrix.tobytes() == dense.tobytes()
+    table = space.dist[np.ix_(p.support, q.support)]
+    assert coupling_cost(coupling) == float(np.sum(dense * table))
+    rows = float(np.max(np.abs(np.sum(dense, axis=1) - p.weights)))
+    cols = float(np.max(np.abs(np.sum(dense, axis=0) - q.weights)))
+    assert validate_coupling(coupling) == [f"row marginal off by {rows!r}",
+                                           f"column marginal off by {cols!r}"]
