@@ -77,6 +77,10 @@ _SEED = _option(int, "a nonnegative integer", lambda value: value >= 0)
 _FINITE = _option(float, "a finite number", math.isfinite)
 _SIZES = _option(lambda text: [int(s) for s in text.split(",") if s],
                  "a comma-separated list of integers")
+# Counts: zero trials would check nothing, and the law-suite samplers draw
+# spaces of at least two points and supports of at least one.
+_POSITIVE = _option(int, "a positive integer", lambda value: value >= 1)
+_TWO_OR_MORE = _option(int, "an integer of at least 2", lambda value: value >= 2)
 
 
 def _common_args(sub: argparse.ArgumentParser, seed: bool = False,
@@ -266,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(power, tolerance=TAU_SOLVER)
 
     laws = subs.add_parser("laws", help="run the randomized law suite")
-    laws.add_argument("--trials", type=int, default=100)
-    laws.add_argument("--max-points", type=int, default=6)
-    laws.add_argument("--max-support", type=int, default=4)
+    laws.add_argument("--trials", type=_POSITIVE, default=100)
+    laws.add_argument("--max-points", type=_TWO_OR_MORE, default=6)
+    laws.add_argument("--max-support", type=_POSITIVE, default=4)
     _common_args(laws, seed=True)
 
     algebra = subs.add_parser("algebra-check", help="check convex-algebra laws on R^d")
     algebra.add_argument("--dim", type=int, default=3)
     algebra.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
-    algebra.add_argument("--trials", type=int, default=100)
+    algebra.add_argument("--trials", type=_POSITIVE, default=100)
     algebra.add_argument("--weight-on-second", action="store_true",
                          help="flip the binary-operation convention so the "
                               "weight multiplies the second argument")

@@ -17,3 +17,9 @@ MAX_TABLE_ENTRIES = 1_000_000
 
 # Work budget of the exact transport engine: support pairs m * n per solve.
 MAX_SUPPORT_PAIRS = 32_768
+
+# Common multiset sizes: the largest that ``auto`` sends to the assignment
+# route, the cap of that route, and the cap of the D! brute-force oracle.
+AUTO_ASSIGNMENT_SIZE = 256
+MAX_ASSIGNMENT_SIZE = 2048
+MAX_BRUTE_SIZE = 8

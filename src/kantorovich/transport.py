@@ -2,29 +2,26 @@
 
 Three primal routes are provided and cross-certified:
 
-* ``w1_flow``      - the plan of the exact transport engine: primal-dual
-                     successive shortest paths on the bipartite support
-                     graph, in Python integers (weights over their common
-                     denominator, float costs over one power of two), so
-                     couplings, potentials and the duality gap are
-                     certified rather than hoped.
+* ``w1_flow``      - the exact transport engine: primal-dual successive
+                     shortest paths on the bipartite support graph.
 * ``w1_assignment``- optimal assignment for uniform measures of equal
-                     multiset size.
-* ``w1_bruteforce``- permutation scan over the common-denominator expansion;
-                     the oracle the other two are tested against.
+                     multiset size, up to MAX_ASSIGNMENT_SIZE.
+* ``w1_bruteforce``- permutation scan over the common-denominator expansion,
+                     up to MAX_BRUTE_SIZE; the oracle for the other two.
 
-Every route reports optimal dual potentials. The engine's node potentials
+A solve holds its exact numbers in one format: the weights as integers over
+their common denominator, and the costs from the joint support to q's
+support as integers over one power of two. The engine's node potentials
 are optimal LP duals, and any optimal dual satisfies complementary
-slackness with any optimal plan, so the assignment route takes them too.
-The right-side duals v are folded into a single 1-Lipschitz function on
-the joint support by the transform f(z) = min_j (d(z, y_j) - v_j),
-normalized to 0 at the first support point; the duality gap of the
-reported plan against that function is computed exactly.
+slackness with any optimal plan, so every route reports them. The
+right-side duals v are folded into one 1-Lipschitz function on the joint
+support by the transform f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at
+the first point; that function and the duality gap of the reported plan
+against it are computed in the same integers and divided out at the end.
 
 Results keep no m x n array. A coupling stores only its nonzero entries:
-the engine's plan has m + n - 1 of them where no ties in the cost table
-make the optimum degenerate, and a few more where ties do. A potential
-stores its values as one float array.
+m + n - 1 where no ties in the cost table make the optimum degenerate, a few
+more where ties do. A potential stores its values as one float array.
 """
 
 from __future__ import annotations
@@ -32,8 +29,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -42,7 +40,8 @@ from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .power import multiset_distance_bruteforce
 from .spaces import same_space
-from .tolerances import MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT
+from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
+                         MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT)
 
 SOLVERS = ("auto", "assignment", "flow", "brute")
 
@@ -110,7 +109,7 @@ class TransportResult:
 def _exact_weights(p: DiscreteMeasure) -> list[Fraction]:
     if p.fractions is not None:
         return list(p.fractions)
-    return [Fraction(float(w)) for w in p.weights]
+    return [Fraction(w) for w in p.weights.tolist()]
 
 
 def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
@@ -126,19 +125,30 @@ def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
 _Plan = list[tuple[int, int, Fraction]]
 
 
-def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, list[Fraction]]:
-    """Optimal plan between p and q and its right-side LP duals v.
+class _Exact(NamedTuple):
+    """The exact numbers of one solve, as integers over common scales."""
+
+    rows: list[int]  # p.support, then q's other support points
+    cost: list[list[int]]  # d(rows[r], q.support[j]) * unit
+    unit: int  # a power of two
+    a: list[int]  # p's weights * den
+    b: list[int]  # q's weights * den
+    den: int
+    v: list[int]  # the engine's right-side duals * unit
+
+
+def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exact]:
+    """Optimal plan between p and q, and the exact numbers it was solved in.
 
     Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin, *Network
-    Flows*, ch. 9), exact in Python integers: weights are scaled by their
-    common denominator, and float costs, being dyadic rationals, by one
-    power of two. Nodes 0..m-1 are supplies, m..m+n-1 demands; the node
-    potentials keep every reduced cost cost[i][j] + pot[i] - pot[m + j]
-    nonnegative. Each phase runs Dijkstra on reduced costs from every supply
-    with mass left, stops at the first demand with a deficit, lifts each
-    potential by min(distance, target distance) and augments along the path.
-    Heap ties break by node index, which makes the plan deterministic. At
-    the end pot[m + j] over the cost scale is an optimal dual v_j.
+    Flows*, ch. 9) in Python integers. Nodes 0..m-1 are supplies, m..m+n-1
+    demands; the node potentials keep every reduced cost
+    cost[i][j] + pot[i] - pot[m + j] nonnegative. Each phase runs Dijkstra
+    on reduced costs from every supply with mass left, stops at the first
+    demand with a deficit, lifts each potential by min(distance, target
+    distance) and augments along the path. Heap ties break by node index,
+    which makes the plan deterministic. At the end pot[m + j] is an optimal
+    dual v_j times the cost scale.
 
     Supply equals demand exactly and every supply reaches every demand, so
     each phase finds a path, and each augmentation meets at least one unit
@@ -149,21 +159,24 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, list
     if m * n > MAX_SUPPORT_PAIRS:
         raise ValidationError("invariant.size_cap",
                               f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
-    a = _exact_weights(p)
-    b = _exact_weights(q)
-    # Float weights are exact binary rationals whose sums can differ from one
-    # another in the last few ulps; the network needs supply == demand
-    # exactly, so rescale one side (a no-op for weights that sum to 1).
-    if sum(a) != sum(b):
-        scale = sum(a) / sum(b)
-        b = [w * scale for w in b]
-    den = math.lcm(*(w.denominator for w in a + b))
-    supply = [w.numerator * (den // w.denominator) for w in a]
-    demand = [w.numerator * (den // w.denominator) for w in b]
-    ratios = [[c.as_integer_ratio() for c in row]
-              for row in p.space.dist[np.ix_(p.support, q.support)].tolist()]
-    unit = max(d for row in ratios for _, d in row)
-    cost = [[num * (unit // d) for num, d in row] for row in ratios]
+    fa, fb = _exact_weights(p), _exact_weights(q)
+    den = math.lcm(*(w.denominator for w in fa + fb))
+    a = [w.numerator * (den // w.denominator) for w in fa]
+    b = [w.numerator * (den // w.denominator) for w in fb]
+    # Float weights sum to 1 only up to a few ulps, and supply must equal
+    # demand exactly: each side is scaled by the other side's sum.
+    g = math.gcd(sum(a), sum(b))
+    supply = [w * (sum(b) // g) for w in a]
+    demand = [w * (sum(a) // g) for w in b]
+    scale = den * (sum(b) // g)
+    # The rows past p.support serve the potential only. A larger power of two
+    # from them scales every cost alike, which keeps the Dijkstra order, its
+    # ties and so the plan.
+    rows = list(p.support) + sorted(set(q.support) - set(p.support))
+    table = p.space.dist[np.ix_(rows, q.support)]
+    unit = max(c.as_integer_ratio()[1] for row in table for c in row.tolist())
+    cost = [[num * (unit // d) for num, d in map(float.as_integer_ratio, row.tolist())]
+            for row in table]
     pot = [0] * (m + n)
     flow = [[0] * n for _ in range(m)]
 
@@ -215,40 +228,33 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, list
         supply[path[-1]] -= theta
         demand[node - m] -= theta
 
-    plan = [(i, j, Fraction(f, den)) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
-    return plan, [Fraction(pot[m + j], unit) for j in range(n)]
-
-
-def _kantorovich_potential(p: DiscreteMeasure, q: DiscreteMeasure,
-                           v: list[Fraction]) -> tuple[tuple[int, ...], list[Fraction]]:
-    """1-Lipschitz potential on the joint support from right-side duals."""
-    table = p.space.dist
-    points = tuple(sorted(set(p.support) | set(q.support)))
-    raw = [min(Fraction(float(table[z, y])) - vj for y, vj in zip(q.support, v))
-           for z in points]
-    base = raw[0]
-    return points, [val - base for val in raw]
+    plan = [(i, j, Fraction(f, scale)) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
+    return plan, _Exact(rows, cost, unit, a, b, den, pot[m:])
 
 
 def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
-              v: list[Fraction], solver: str) -> TransportResult:
-    """Result for an optimal plan and optimal right-side duals, with the
-    duality gap between them computed exactly."""
-    points, fvals = _kantorovich_potential(p, q, v)
-    fmap = dict(zip(points, fvals))
-    table = p.space.dist
-    cost_exact = sum(f * Fraction(float(table[p.support[i], q.support[j]]))
-                     for i, j, f in plan)
-    dual_exact = (sum(w * fmap[x] for x, w in zip(p.support, _exact_weights(p)))
-                  - sum(w * fmap[y] for y, w in zip(q.support, _exact_weights(q))))
-    gap = abs(cost_exact - dual_exact)
+              exact: _Exact, solver: str) -> TransportResult:
+    """Result for an optimal plan and the engine's optimal right-side duals,
+    with the potential and the duality gap computed in the integers of
+    ``exact`` up to one correctly rounded division each (int / int)."""
+    raw = {z: min(c - vj for c, vj in zip(row, exact.v))
+           for z, row in zip(exact.rows, exact.cost)}
+    points = tuple(sorted(raw))
+    f = {z: raw[z] - raw[points[0]] for z in points}
+    # The plan's cost times plan_den * unit, its dual value times den * unit.
+    plan_den = math.lcm(*(mass.denominator for _, _, mass in plan))
+    primal = sum(mass.numerator * (plan_den // mass.denominator) * exact.cost[i][j]
+                 for i, j, mass in plan)
+    dual = (sum(w * f[x] for x, w in zip(p.support, exact.a))
+            - sum(w * f[y] for y, w in zip(q.support, exact.b)))
+    gap = abs(primal * exact.den - dual * plan_den)
 
     matrix = np.zeros((len(p.support), len(q.support)))
-    for i, j, f in plan:
-        matrix[i, j] = float(f)
-    dual = DualPotential(points, [float(f) for f in fvals])
-    return TransportResult(cost=float(cost_exact), coupling=Coupling(p, q, matrix), dual=dual,
-                           gap=float(gap), solver=solver)
+    for i, j, mass in plan:
+        matrix[i, j] = float(mass)
+    return TransportResult(cost=primal / (plan_den * exact.unit), coupling=Coupling(p, q, matrix),
+                           dual=DualPotential(points, [f[z] / exact.unit for z in points]),
+                           gap=gap / (plan_den * exact.den * exact.unit), solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +264,7 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
 def w1_flow(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     """Exact W1 from the transport engine; works for any weight pattern."""
     _require_same_space(p, q)
-    plan, v = _transport_plan(p, q)
-    return _assemble(p, q, plan, v, "flow")
+    return _assemble(p, q, *_transport_plan(p, q), "flow")
 
 
 def _expansion_size(p: DiscreteMeasure) -> int | None:
@@ -275,16 +280,15 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
 
 
 def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
-    """Support indices repeated by multiplicity, _expansion_size(p) of them."""
+    """Positions in the sorted p.support repeated by multiplicity, _expansion_size(p) of them."""
     if p.fractions is None:
-        return list(p.support)
+        return list(range(len(p.support)))
     from .monad import multiset_from_measure  # monad imports this module
 
-    return list(multiset_from_measure(p).entries)
+    return np.searchsorted(p.support, multiset_from_measure(p).entries).tolist()
 
 
-def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
-                  max_expansion: int = 2048) -> TransportResult:
+def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     """W1 for empirical measures via optimal assignment.
 
     Both measures must expand to point multisets; replicating a multiset
@@ -299,33 +303,29 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure,
         raise ValidationError("solver.unsupported",
                               "assignment solver needs empirical (uniform) measures")
     n = math.lcm(*sizes)
-    if n > max_expansion:
+    if n > MAX_ASSIGNMENT_SIZE:
         raise ValidationError("invariant.size_cap",
-                              f"common multiset size {n} exceeds cap {max_expansion}")
-    v = _transport_plan(p, q)[1]
+                              f"common multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
+    exact = _transport_plan(p, q)[1]
     left = _uniform_expansion(p) * (n // sizes[0])
     right = _uniform_expansion(q) * (n // sizes[1])
-    table = p.space.dist
+    table = p.space.dist[np.ix_(p.support, q.support)]
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
-
-    pos_p = {x: i for i, x in enumerate(p.support)}
-    pos_q = {y: j for j, y in enumerate(q.support)}
-    pairs = Counter((pos_p[left[r]], pos_q[right[c]])
-                    for r, c in zip(rows.tolist(), cols.tolist()))
+    pairs = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
     plan = [(i, j, Fraction(k, n)) for (i, j), k in pairs.items()]
-    return _assemble(p, q, plan, v, "assignment")
+    return _assemble(p, q, plan, exact, "assignment")
 
 
-def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure, max_expansion: int = 8) -> float:
+def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Oracle: expand both measures over their common denominator and scan
     all pairings. Requires exact weights; D! work, so D is capped."""
     _require_same_space(p, q)
     if p.fractions is None or q.fractions is None:
         raise ValidationError("solver.rational_required", "brute force needs exact weights")
     d = math.lcm(p.denominator, q.denominator)
-    if d > max_expansion:
+    if d > MAX_BRUTE_SIZE:
         raise ValidationError("invariant.size_cap",
-                              f"common denominator {d} exceeds cap {max_expansion}")
+                              f"common denominator {d} exceeds cap {MAX_BRUTE_SIZE}")
     from .monad import multiset_from_measure  # monad imports this module
 
     return multiset_distance_bruteforce(multiset_from_measure(p, d),
@@ -352,10 +352,9 @@ def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,
         if abs(oracle - result.cost) > TAU_SOLVER:
             raise ValidationError("solver.disagreement",
                                   f"brute force {oracle!r} != flow {result.cost!r}")
-        return TransportResult(cost=oracle, coupling=result.coupling, dual=result.dual,
-                               gap=result.gap, solver="brute")
+        return replace(result, cost=oracle, solver="brute")
     sizes = (_expansion_size(p), _expansion_size(q))
-    if None not in sizes and math.lcm(*sizes) <= 256:
+    if None not in sizes and math.lcm(*sizes) <= AUTO_ASSIGNMENT_SIZE:
         return w1_assignment(p, q)
     return w1_flow(p, q)
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -233,6 +234,49 @@ def test_console_entry_point_installed():
             assert sub in choices
 
 
+# sha256 of the stdout of solver reports, so that a change to any bit of a
+# cost, gap, coupling or potential fails here. The laws and algebra-check
+# reports go through LAPACK and BLAS, whose last bits can vary between
+# builds, and are not pinned.
+_FIXTURE = ("space.json", "p.json", "q.json")
+_GRID = ("grid.json", "grid_p.json", "grid_q.json")
+_REPORTS = (
+    ("dist", _FIXTURE,
+     "667f1d9aa3766b61b702d09cfd3ec105b5d6af5aa83657a898242a2e898f706d"),
+    ("dist --solver flow", _FIXTURE,
+     "37d970ecbff2859966e0e9074a25d2d898294798354c48856af474fb99c9634b"),
+    ("dist --solver brute", _FIXTURE,
+     "e9c137fe9589ab8d26704f88f6aa2a92c53f36e4af2b4f5a6bde0f2c9ffe1832"),
+    ("coupling", _FIXTURE,
+     "5e95448e08cba96384c4d56664f71cb170870bd510c0cc83e148f4ddc6345709"),
+    ("dual", _FIXTURE,
+     "f07f58614ad1b2f418794248e60f6016399cf8299830eeb343cbcb94cd50ec71"),
+    ("coupling", _GRID,
+     "e4a2923d86b23dae819c901bb6744517303de141442c3b952f338fb3d5a1ac1b"),
+    ("dual", _GRID,
+     "97985df36aec155138976b3de24371af7b64b76c3e9a462666c1f5303f41700d"),
+)
+
+
+def test_solver_reports_keep_their_bytes(fixtures):
+    # A 6 x 4 grid under l2, with float weights on alternate points.
+    (fixtures / "grid.json").write_text(json.dumps(
+        {"kind": "euclidean", "norm": "l2",
+         "points": [[x, y] for y in range(4) for x in range(6)]}))
+    (fixtures / "grid_p.json").write_text(json.dumps(
+        {"support": list(range(0, 24, 2)), "weights": [k / 78 for k in range(1, 13)]}))
+    (fixtures / "grid_q.json").write_text(json.dumps(
+        {"support": list(range(1, 24, 2)), "weights": [(k % 4 + 1) / 30 for k in range(12)]}))
+    for command, files, digest in _REPORTS:
+        argv = command.split()
+        for flag, name in zip(("--space", "--p", "--q"), files):
+            argv += [flag, str(fixtures / name)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, files)
+
+
 def test_usage_errors_exit_one_with_error_json(fixtures):
     # Exit status 2 is reserved for law-suite failures; a bad invocation
     # is a validation failure and must follow the stderr-JSON contract.
@@ -270,16 +314,31 @@ _MEASURES = st.one_of(
     _NUMBER)
 # Index files for power-dist: flat arrays of any entries, and nested arrays.
 _INDICES = st.one_of(st.lists(_NUMBER, min_size=1, max_size=4), st.lists(_ARRAY, max_size=3))
-# Values of --seed, --epsilon, --radius and --sizes.
+# Values of --seed, --epsilon, --radius, --sizes and the law-suite counts.
 _OPTION = st.one_of(st.integers(-2, 4).map(str),
                     st.sampled_from(["x", "4,x", "3,2", "0.5", "nan", "inf", "-inf"]))
 _GOOD_SPACE = {"kind": "matrix", "dist": [[0, 1], [1, 0]]}
 _GOOD_MEASURE = {"support": [1], "weights": [1.0]}
+# The least value of each count option; a lower or non-integer value is an
+# invocation error.
+_COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1}
 
 
 def _is_index_array(data) -> bool:
     """A non-empty flat array of JSON integers, as power-dist reads."""
     return isinstance(data, list) and bool(data) and all(type(v) is int for v in data)
+
+
+def _below_minimum(argv: list[str]) -> bool:
+    """Whether a count option in ``argv`` is not an integer at its least value."""
+    for flag, text in zip(argv, argv[1:]):
+        if flag in _COUNTS:
+            try:
+                if int(text) < _COUNTS[flag]:
+                    return True
+            except ValueError:
+                return True
+    return False
 
 
 def _has_boolean(data) -> bool:
@@ -291,6 +350,7 @@ def _has_boolean(data) -> bool:
 
 
 @given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "sample", "laws",
+                                "--trials", "--max-points", "--max-support", "algebra-check",
                                 "tuple", "multiset", "rationalize", "truncate", "study"]),
        space=_SPACES, p=st.one_of(_MEASURES, _INDICES), q=st.one_of(_MEASURES, _INDICES),
        option=_OPTION)
@@ -308,6 +368,14 @@ def _has_boolean(data) -> bool:
 @example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="4,x")
 @example(command="rationalize", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
          option="nan")
+@example(command="--trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
+@example(command="--trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
+@example(command="algebra-check", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option="-1")
+@example(command="--max-points", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option="1")
+@example(command="--max-support", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option="0")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, option):
@@ -316,7 +384,8 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     # JSON true/false in a measure or index file is no number: such a file
     # is refused, and so is an index file that is not a flat array of
     # integers. ``option`` is the value of the one numeric option a command
-    # takes from the fuzzer.
+    # takes from the fuzzer; the commands named after a law-suite count give
+    # it to that count, and a count below its least value is refused.
     paths = {}
     for name, data in (("space", space), ("p", p), ("q", q)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -327,6 +396,11 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         argv = ["sample", *inputs, "--size", "5", "--seed", option]
     elif command == "laws":
         argv, read = ["laws", "--trials", "1", "--seed", option], []
+    elif command in _COUNTS:
+        counts = {"--trials": "1", command: option}  # one trial keeps the run short
+        argv, read = ["laws", *(text for item in counts.items() for text in item)], []
+    elif command == "algebra-check":
+        argv, read = ["algebra-check", "--dim", "2", "--trials", option], []
     elif command in ("tuple", "multiset"):
         argv = ["power-dist", "--space", paths["space"], "--a", paths["p"], "--b", paths["q"],
                 "--kind", command]
@@ -351,6 +425,9 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         assert code == 1
     if argv[0] == "power-dist" and not all(_is_index_array(m) for m in read):
         assert code == 1
+    if _below_minimum(argv):
+        assert code == 1
+        assert json.loads(err.getvalue())["error"]["code"] == "cli.arguments"
     if code == 1:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"]["code"]

@@ -308,3 +308,40 @@ def test_results_keep_only_the_nonzero_plan():
     cols = float(np.max(np.abs(np.sum(dense, axis=0) - q.weights)))
     assert validate_coupling(coupling) == [f"row marginal off by {rows!r}",
                                            f"column marginal off by {cols!r}"]
+
+
+def test_certificate_is_exactly_tight_on_integer_tables():
+    # On l1 and linf grid tables every cost is an integer, and so are the
+    # engine's potentials, so floats hold them exactly and the certificate
+    # is checked with no tolerance: tight on the plan, 1-Lipschitz on the
+    # joint support, and a gap of exactly 0 for rational weights.
+    for trial in range(32):
+        rng = rng_from(19, trial)
+        n = int(rng.integers(4, 25))
+        space = _grid_space(rng, 2 * n, ("l1", "linf")[trial % 2])
+        exact, uniform = trial % 4 < 2, trial % 8 < 4
+
+        def measure():
+            k = int(rng.integers(1, n + 1))
+            support = rng.choice(2 * n, size=k, replace=False).tolist()
+            if uniform:
+                return DiscreteMeasure(space, support, [Fraction(1, k) if exact else 1 / k] * k)
+            counts = rng.integers(1, 10, size=k).tolist()
+            if exact:
+                return DiscreteMeasure.from_rational(space, support, counts, sum(counts))
+            return DiscreteMeasure(space, support, [c / sum(counts) for c in counts])
+
+        p, q = measure(), measure()
+        for solver in ("flow", "auto"):
+            result = wasserstein1(p, q, solver=solver)
+            f = dict(zip(result.dual.points, result.dual.values.tolist()))
+            matrix = result.coupling.matrix
+            for i, x in enumerate(p.support):
+                for j, y in enumerate(q.support):
+                    if matrix[i, j] > 0:
+                        assert f[x] - f[y] == space.d(x, y)
+            for x in f:
+                for y in f:
+                    assert abs(f[x] - f[y]) <= space.d(x, y)
+            if exact:
+                assert result.gap == 0.0
