@@ -18,7 +18,7 @@ from .graded import (NestedMultiSet, NestedTuple, check_assoc_square,
 from .laws import LawResult, run_law_suite
 from .measures import (DiscreteMeasure, dirac, first_moment, measures_equal,
                        mixture, pushforward, weight_discrepancy)
-from .monad import (NestedMeasure, check_expectation_flatten,
+from .monad import (NestedMeasure, bistochastic_min, check_expectation_flatten,
                     check_iota_isometry, check_monad_laws, check_ppx_square,
                     dirac_kernel, empirical, empirical_sym, expectation,
                     kernel_pushforward, multiset_from_measure, nested_dirac,
@@ -26,14 +26,14 @@ from .monad import (NestedMeasure, check_expectation_flatten,
 from .power import (FinUnifMap, MultiSet, PointTuple, multiset_distance,
                     multiset_distance_bruteforce, precompose, quotient,
                     repeat_embedding, tuple_distance, validate_finunif)
-from .samplers import RNG_ALGORITHM, MeasureSampler, rng_from
+from .samplers import RNG_ALGORITHM, rng_from
 from .spaces import (EuclideanSpace, FiniteMetricSpace, MetricViolation,
                      check_isometric, check_short, convex_combination_space,
                      product_index, tensor_product, validate_metric,
                      vector_distance)
 from .tolerances import EXACT_TOL, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT
 from .transport import (Coupling, DualPotential, TransportResult,
-                        bistochastic_min, coupling_cost, validate_coupling,
+                        coupling_cost, validate_coupling,
                         w1_assignment, w1_bruteforce, w1_dual_value, w1_flow,
                         wasserstein1)
 
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproximationReport", "ConvexAlgebra", "Coupling", "DiscreteMeasure",
     "DualPotential", "EXACT_TOL", "EuclideanSpace", "FinUnifMap",
-    "FiniteMetricSpace", "KantorovichError", "LawResult", "MeasureSampler",
+    "FiniteMetricSpace", "KantorovichError", "LawResult",
     "MetricViolation", "MultiSet", "NestedMeasure", "NestedMultiSet",
     "NestedTuple", "ParseError", "PointTuple", "RNG_ALGORITHM",
     "SimplexWeights", "TAU_METRIC", "TAU_SOLVER", "TAU_WEIGHT",

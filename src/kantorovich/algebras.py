@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _weights, dirac
 from .monad import NestedMeasure, expectation
-from .samplers import random_measure, simplex_floats, simplex_fractions
+from .samplers import random_measure, rng_from, simplex_floats, simplex_fractions
 from .spaces import NORMS, EuclideanSpace, vector_distance
 
 
@@ -132,7 +132,7 @@ def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> d
 
     Returns worst equality discrepancy and worst inequality violation.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 201]))
+    rng = rng_from(seed, 201)
     worst_eq = 0.0
     worst_violation = 0.0
     for _ in range(trials):
@@ -161,7 +161,7 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
         return c_lambda(algebra, lam, x, y) if weight_on_first \
             else c_lambda(algebra, 1.0 - lam, x, y)
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
+    rng = rng_from(seed, 202)
     worst = {"unitality": 0.0, "idempotency": 0.0, "commutativity": 0.0,
              "associativity": 0.0}
     for _ in range(trials):
@@ -195,8 +195,7 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
     return worst
 
 
-def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
-                       exact: bool = True) -> dict[str, float]:
+def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> dict[str, float]:
     """Worst discrepancies for the algebra laws of the barycenter map.
 
     unit:            barycenter of a point mass is the point
@@ -205,7 +204,7 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
     power_square:    mean of block means = global mean (equal blocks)
     affine:          short affine maps commute with barycenters
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 203]))
+    rng = rng_from(seed, 203)
     worst = {"unit": 0.0, "multiplication": 0.0, "power_triangle": 0.0,
              "power_square": 0.0, "affine_naturality": 0.0}
     for _ in range(trials):
@@ -218,11 +217,8 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
             barycenter(algebra, dirac(space, i)), points[i]))
 
         n_inner = int(rng.integers(1, 4))
-        inner = [random_measure(rng, space, space.n, 12, exact) for _ in range(n_inner)]
-        if exact:
-            outer: Sequence = simplex_fractions(rng, n_inner, int(rng.integers(1, 13)))
-        else:
-            outer = simplex_floats(rng, n_inner)
+        inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
+        outer = simplex_fractions(rng, n_inner, int(rng.integers(1, 13)))
         mu = NestedMeasure(space, inner, outer)
         via_expectation = barycenter(algebra, expectation(mu))
         via_points = np.zeros(algebra.dim)
@@ -245,11 +241,10 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0,
             mean_point(block_means), mean_point(flat)))
 
         matrix, offset = _random_short_affine(rng, algebra)
-        p = random_measure(rng, space, space.n, 12, exact)
+        p = random_measure(rng, space, space.n)
         image_points = points @ matrix.T + offset
         image_space = EuclideanSpace(image_points, algebra.norm).to_metric()
-        weights = p.fractions if p.fractions is not None else list(p.weights)
-        image_measure = DiscreteMeasure(image_space, list(p.support), list(weights))
+        image_measure = DiscreteMeasure(image_space, list(p.support), list(p.fractions))
         lhs = matrix @ barycenter(algebra, p) + offset
         rhs = barycenter(algebra, image_measure)
         worst["affine_naturality"] = max(worst["affine_naturality"],
@@ -273,12 +268,12 @@ def _random_short_affine(rng: np.random.Generator,
     return matrix, offset
 
 
-def _l2_norm_power_iteration(matrix: np.ndarray, iters: int = 60) -> float:
-    """Spectral norm estimate; rescaling divides by it with a 0.95 margin
-    because the estimate can run slightly low."""
+def _l2_norm_power_iteration(matrix: np.ndarray) -> float:
+    """Spectral norm estimate after 60 power steps; rescaling divides by it
+    with a 0.95 margin because the estimate can run slightly low."""
     gram = matrix.T @ matrix
     v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
-    for _ in range(iters):
+    for _ in range(60):
         w = gram @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

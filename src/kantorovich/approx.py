@@ -21,6 +21,7 @@ from .measures import DiscreteMeasure
 from .monad import empirical_sym
 from .power import MultiSet
 from .samplers import RNG_ALGORITHM, rng_from
+from .tolerances import MAX_SAMPLE_SIZE
 from .transport import _exact_weights, w1_flow, wasserstein1
 
 __all__ = [
@@ -110,6 +111,9 @@ def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> Mul
     support order."""
     if size <= 0:
         raise ValidationError("invariant.tuple", "sample size must be positive")
+    if size > MAX_SAMPLE_SIZE:
+        raise ValidationError("invariant.size_cap",
+                              f"sample size {size} exceeds cap {MAX_SAMPLE_SIZE}")
     picks = np.searchsorted(np.cumsum(p.weights), rng.random(size), side="right")
     picks = np.minimum(picks, len(p.support) - 1)
     return MultiSet(p.space, [p.support[int(i)] for i in picks])

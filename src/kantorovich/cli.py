@@ -21,7 +21,7 @@ from .laws import run_law_suite
 from .power import MultiSet, PointTuple, multiset_distance, tuple_distance
 from .samplers import RNG_ALGORITHM
 from .tolerances import TAU_METRIC, TAU_SOLVER
-from .transport import validate_coupling, wasserstein1
+from .transport import SOLVERS, validate_coupling, wasserstein1
 
 
 def _emit(report: dict, out_format: str, csv=None) -> int:
@@ -258,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--space", required=True, help="space file (.json or .csv)")
         sub.add_argument("--p", required=True, help="first measure (.json)")
         sub.add_argument("--q", required=True, help="second measure (.json)")
-        sub.add_argument("--solver", default="auto",
-                         choices=["auto", "assignment", "flow", "brute"])
+        sub.add_argument("--solver", default="auto", choices=SOLVERS)
         _common_args(sub, tolerance=TAU_SOLVER)
 
     power = subs.add_parser("power-dist", help="distance between tuples or multisets")

@@ -22,7 +22,7 @@ from .monad import (check_expectation_flatten, check_iota_isometry, check_monad_
                     check_ppx_square, empirical_sym)
 from .power import (multiset_distance, multiset_distance_bruteforce, precompose,
                     quotient, repeat_embedding, tuple_distance)
-from .samplers import (MeasureSampler, random_euclidean_space, random_finunif,
+from .samplers import (random_euclidean_space, random_finunif,
                        random_measure, random_multiset, random_nested_multiset,
                        random_nested_tuple, random_rational_pair, random_space,
                        random_tuple, rng_from)
@@ -56,8 +56,7 @@ def _result(law: str, trials: int, worst: float, tol: float) -> LawResult:
 def run_law_suite(trials: int = 100, seed: int = 0, max_points: int = 6,
                   max_support: int = 4) -> list[LawResult]:
     """Run every law check; the CLI ``laws`` command is a thin wrapper."""
-    monad_worst = check_monad_laws(MeasureSampler(max_points, max_support), trials,
-                                   seed=seed)
+    monad_worst = check_monad_laws(trials, seed, max_points, max_support)
     out = [_result(f"monad.{law}", trials, worst, EXACT_TOL)
            for law, worst in monad_worst.items()]
     out += [_result(law, trials, _sweep(trials, seed, stream, check), tol)

@@ -16,6 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .spaces import FiniteMetricSpace, same_space
+from .tolerances import MAX_BRUTE_SIZE
 
 
 def _check_entries(space: FiniteMetricSpace, entries: Sequence[int]) -> tuple[int, ...]:
@@ -86,12 +87,12 @@ def multiset_distance(a: MultiSet, b: MultiSet) -> float:
     return float(cost[rows, cols].sum()) / n
 
 
-def multiset_distance_bruteforce(a: MultiSet, b: MultiSet, max_n: int = 7) -> float:
-    """Permutation-scan oracle for the multiset metric; n! work, n <= max_n."""
+def multiset_distance_bruteforce(a: MultiSet, b: MultiSet) -> float:
+    """Permutation-scan oracle for the multiset metric; n! work, n <= MAX_BRUTE_SIZE."""
     _require_compatible(a, b)
     n = len(a)
-    if n > max_n:
-        raise ValidationError("invariant.size_cap", f"brute force capped at n={max_n}")
+    if n > MAX_BRUTE_SIZE:
+        raise ValidationError("invariant.size_cap", f"brute force capped at n={MAX_BRUTE_SIZE}")
     cost = a.space.dist[np.ix_(a.entries, b.entries)]
     best = math.inf
     for perm in itertools.permutations(range(n)):

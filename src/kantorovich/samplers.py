@@ -27,13 +27,12 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(s) for s in stream]]))
 
 
-def random_metric_space(rng: np.random.Generator, n_points: int,
-                        max_dist: int = 9) -> FiniteMetricSpace:
-    """Random integer distance table, metrized by shortest-path closure."""
+def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
+    """Random integer distance table (raw entries 1..9), closed under shortest paths."""
     n = int(n_points)
     if n == 1:
         return FiniteMetricSpace([[0.0]])
-    raw = rng.integers(1, max_dist + 1, size=(n, n))
+    raw = rng.integers(1, 10, size=(n, n))
     table = np.minimum(raw, raw.T).astype(np.int64)
     np.fill_diagonal(table, 0)
     for k in range(n):
@@ -83,13 +82,12 @@ def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
 
 
 def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
-                   max_support: int = 4, max_den: int = 12,
-                   exact: bool = True) -> DiscreteMeasure:
-    """Random measure; exact rational weights by default."""
+                   max_support: int = 4, exact: bool = True) -> DiscreteMeasure:
+    """Random measure; exact rational weights (denominator 1..12) by default."""
     k = int(rng.integers(1, min(max_support, space.n) + 1))
     support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
     if exact:
-        den = int(rng.integers(1, max_den + 1))
+        den = int(rng.integers(1, 13))
         weights: Sequence = simplex_fractions(rng, k, den)
     else:
         weights = simplex_floats(rng, k)
@@ -134,22 +132,3 @@ def random_finunif(rng: np.random.Generator, codomain_size: int,
     """Uniform-fiber surjection with a shuffled domain."""
     values = np.repeat(np.arange(codomain_size), fiber)
     return FinUnifMap([int(v) for v in rng.permutation(values)], codomain_size)
-
-
-class MeasureSampler:
-    """Sampler protocol for the law suites: a fresh space per trial, then
-    measures on that space."""
-
-    def __init__(self, max_points: int = 6, max_support: int = 4,
-                 max_den: int = 12, exact: bool = True):
-        self.max_points = max_points
-        self.max_support = max_support
-        self.max_den = max_den
-        self.exact = exact
-
-    def space(self, rng: np.random.Generator) -> FiniteMetricSpace:
-        return random_space(rng, self.max_points)
-
-    def measure(self, rng: np.random.Generator,
-                space: FiniteMetricSpace) -> DiscreteMeasure:
-        return random_measure(rng, space, self.max_support, self.max_den, self.exact)

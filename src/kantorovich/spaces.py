@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import MAX_TABLE_ENTRIES, TAU_METRIC
+from .tolerances import MAX_TABLE_ENTRIES, TAU_METRIC, TAU_WEIGHT
 
 NORMS = ("l1", "l2", "linf")
 
@@ -178,29 +178,28 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
     return out
 
 
-def _check_table_cap(n_points: int, max_entries: int) -> None:
-    if n_points * n_points > max_entries:
+def _check_table_cap(n_points: int) -> None:
+    if n_points * n_points > MAX_TABLE_ENTRIES:
         raise ValidationError(
             "invariant.size_cap",
             f"product carrier of {n_points} points needs {n_points * n_points} table entries"
-            f" (cap {max_entries})",
+            f" (cap {MAX_TABLE_ENTRIES})",
         )
 
 
-def tensor_product(x: FiniteMetricSpace, y: FiniteMetricSpace,
-                   max_entries: int = MAX_TABLE_ENTRIES) -> FiniteMetricSpace:
+def tensor_product(x: FiniteMetricSpace, y: FiniteMetricSpace) -> FiniteMetricSpace:
     """Product carrier with additive distances d((a,b),(a',b')) = d(a,a') + d(b,b').
 
     Carrier indices are row-major pairs: (i, j) lives at i*|Y| + j.
     """
     n = x.n * y.n
-    _check_table_cap(n, max_entries)
+    _check_table_cap(n)
     table = (x.dist[:, None, :, None] + y.dist[None, :, None, :]).reshape(n, n)
     return FiniteMetricSpace(table, pseudometric_ok=x.pseudometric_ok or y.pseudometric_ok)
 
 
-def convex_combination_space(lam: Sequence[float], spaces: Sequence[FiniteMetricSpace],
-                             max_entries: int = MAX_TABLE_ENTRIES) -> FiniteMetricSpace:
+def convex_combination_space(lam: Sequence[float],
+                             spaces: Sequence[FiniteMetricSpace]) -> FiniteMetricSpace:
     """Weighted product space: d(x, y) = sum_i lam_i * d_i(x_i, y_i).
 
     Carrier indices are row-major over the factor carriers (numpy order).
@@ -210,14 +209,14 @@ def convex_combination_space(lam: Sequence[float], spaces: Sequence[FiniteMetric
     weights = [float(w) for w in lam]
     if len(weights) != len(spaces) or not spaces:
         raise ValidationError("invariant.weights", "need one weight per factor space")
-    if any(w < 0 for w in weights):
-        raise ValidationError("invariant.weights", "weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if not all(0 <= w < np.inf for w in weights):
+        raise ValidationError("invariant.weights", "weights must be finite and nonnegative")
+    if abs(sum(weights) - 1.0) > TAU_WEIGHT:
         raise ValidationError("invariant.weights", "weights must sum to 1")
 
     sizes = [s.n for s in spaces]
     n = int(np.prod(sizes))
-    _check_table_cap(n, max_entries)
+    _check_table_cap(n)
 
     table = np.zeros((n, n))
     grids = np.unravel_index(np.arange(n), sizes)

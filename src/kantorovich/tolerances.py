@@ -23,3 +23,6 @@ MAX_SUPPORT_PAIRS = 32_768
 AUTO_ASSIGNMENT_SIZE = 256
 MAX_ASSIGNMENT_SIZE = 2048
 MAX_BRUTE_SIZE = 8
+
+# Largest sample a single draw may ask for (``sample --size``, study sizes).
+MAX_SAMPLE_SIZE = 1_000_000

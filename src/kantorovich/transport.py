@@ -38,7 +38,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .measures import DiscreteMeasure
-from .power import multiset_distance_bruteforce
+from .power import MultiSet, multiset_distance_bruteforce
 from .spaces import same_space
 from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
                          MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT)
@@ -280,12 +280,12 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
 
 
 def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
-    """Positions in the sorted p.support repeated by multiplicity, _expansion_size(p) of them."""
+    """Positions in p.support repeated by multiplicity, _expansion_size(p) of them."""
     if p.fractions is None:
         return list(range(len(p.support)))
-    from .monad import multiset_from_measure  # monad imports this module
-
-    return np.searchsorted(p.support, multiset_from_measure(p).entries).tolist()
+    den = p.denominator
+    return [i for i, w in enumerate(p.fractions)
+            for _ in range(w.numerator * (den // w.denominator))]
 
 
 def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
@@ -326,10 +326,9 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     if d > MAX_BRUTE_SIZE:
         raise ValidationError("invariant.size_cap",
                               f"common denominator {d} exceeds cap {MAX_BRUTE_SIZE}")
-    from .monad import multiset_from_measure  # monad imports this module
-
-    return multiset_distance_bruteforce(multiset_from_measure(p, d),
-                                        multiset_from_measure(q, d), max_n=d)
+    left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.denominator)]
+                   for m in (p, q))
+    return multiset_distance_bruteforce(MultiSet(p.space, left), MultiSet(q.space, right))
 
 
 def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,
@@ -411,13 +410,3 @@ def w1_dual_value(p: DiscreteMeasure, q: DiscreteMeasure, f: DualPotential) -> f
     minus = math.fsum(w * fmap[y] for y, w in zip(q.support, q.weights))
     return plus - minus
 
-
-def bistochastic_min(a, b) -> float:
-    """Relaxed (bistochastic) value of the multiset metric.
-
-    Equals the flow distance between the two uniform empirical measures;
-    by Birkhoff-von Neumann it coincides with the assignment optimum.
-    """
-    from .monad import empirical_sym  # local import to avoid a cycle
-
-    return w1_flow(empirical_sym(a), empirical_sym(b)).cost

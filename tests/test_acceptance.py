@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
-                         MeasureSampler, MultiSet, NestedTuple, PointTuple,
+                         MultiSet, NestedTuple, PointTuple,
                          bistochastic_min, check_algebra_laws,
                          check_assoc_square, check_double_quotient,
                          check_expectation_flatten, check_iota_isometry,
@@ -150,11 +150,9 @@ def test_criterion_04_isometry_suite():
 
 def test_criterion_05_monad_laws():
     """100 trials per law: exactly 0 on the rational path, <= 1e-12 on floats."""
-    exact = check_monad_laws(MeasureSampler(max_points=6, max_support=4),
-                             trials=100, seed=1005)
-    floats = check_monad_laws(
-        MeasureSampler(max_points=6, max_support=4, exact=False),
-        trials=100, seed=1005, exact=False)
+    exact = check_monad_laws(trials=100, seed=1005, max_points=6, max_support=4)
+    floats = check_monad_laws(trials=100, seed=1005, max_points=6, max_support=4,
+                              exact=False)
     ok = all(v == 0.0 for v in exact.values()) \
         and all(v <= 1e-12 for v in floats.values())
     _verdict(5, "monad laws (unit x2, associativity)", ok,

@@ -6,6 +6,7 @@ from kantorovich import (DiscreteMeasure, ValidationError, convergence_study,
                          dirac, empirical_sym, rationalize, sample_empirical,
                          truncate_to_ball, wasserstein1)
 from kantorovich.samplers import random_measure, random_metric_space, rng_from
+from kantorovich.tolerances import MAX_SAMPLE_SIZE
 
 
 def test_rationalize_error_within_bound(line4):
@@ -88,3 +89,12 @@ def test_convergence_study_medians_shrink(line4):
     # two identical invocations agree exactly
     again = convergence_study(p, [8, 32, 128], trials=30, seed=0)
     assert rows == again
+
+
+def test_sample_sizes_above_the_cap_are_refused_before_drawing(line4):
+    p = dirac(line4, 1)
+    for draw in (lambda: sample_empirical(p, MAX_SAMPLE_SIZE + 1),
+                 lambda: convergence_study(p, [8, MAX_SAMPLE_SIZE + 1], trials=1)):
+        with pytest.raises(ValidationError, match="exceeds cap") as info:
+            draw()
+        assert info.value.code == "invariant.size_cap"

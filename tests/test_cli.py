@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kantorovich.cli import main
+from kantorovich.tolerances import MAX_SAMPLE_SIZE
 
 CLI = [sys.executable, "-m", "kantorovich.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -349,9 +350,10 @@ def _has_boolean(data) -> bool:
     return isinstance(data, bool)
 
 
-@given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "sample", "laws",
-                                "--trials", "--max-points", "--max-support", "algebra-check",
-                                "tuple", "multiset", "rationalize", "truncate", "study"]),
+@given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "coupling", "dual",
+                                "sample", "laws", "--trials", "--max-points", "--max-support",
+                                "algebra-check", "tuple", "multiset", "rationalize", "truncate",
+                                "study"]),
        space=_SPACES, p=st.one_of(_MEASURES, _INDICES), q=st.one_of(_MEASURES, _INDICES),
        option=_OPTION)
 @example(command="auto", space=_GOOD_SPACE,
@@ -366,6 +368,8 @@ def _has_boolean(data) -> bool:
 @example(command="laws", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
 @example(command="sample", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
 @example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="4,x")
+@example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_SAMPLE_SIZE + 1))
 @example(command="rationalize", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
          option="nan")
 @example(command="--trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
@@ -411,6 +415,9 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         argv = ["approx", *inputs, "--mode", command, "--center", "0", "--radius", option]
     elif command == "study":
         argv = ["approx", *inputs, "--mode", command, "--sizes", option, "--trials", "2"]
+    elif command in ("coupling", "dual"):
+        argv = [command, *inputs, "--q", paths["q"]]
+        read = [p, q]
     else:
         argv = ["dist", *inputs, "--q", paths["q"], "--solver", command]
         read = [p, q]

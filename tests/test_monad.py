@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kantorovich import (DiscreteMeasure, MeasureSampler, MultiSet,
+from kantorovich import (DiscreteMeasure, MultiSet,
                          NestedMeasure, PointTuple, check_expectation_flatten,
                          check_iota_isometry, check_monad_laws,
                          check_ppx_square, dirac, dirac_kernel, empirical,
@@ -72,12 +72,10 @@ def test_unit_laws_by_hand(line3):
 
 
 def test_monad_laws_exact_and_float():
-    worst = check_monad_laws(MeasureSampler(max_points=5, max_support=3),
-                             trials=60, seed=5)
+    worst = check_monad_laws(trials=60, seed=5, max_points=5, max_support=3)
     assert worst == {"left_unit": 0.0, "right_unit": 0.0, "associativity": 0.0}
-    worst_float = check_monad_laws(
-        MeasureSampler(max_points=5, max_support=3, exact=False),
-        trials=60, seed=5, exact=False)
+    worst_float = check_monad_laws(trials=60, seed=5, max_points=5, max_support=3,
+                                   exact=False)
     assert all(v <= 1e-12 for v in worst_float.values()), worst_float
 
 

@@ -105,6 +105,18 @@ def test_convex_combination_space(line3, line4):
     assert degenerate.d(a, b) == 0.0
 
 
+@pytest.mark.parametrize("lam, message", [
+    ([math.nan, 0.5], "finite"),
+    ([1.0], "one weight per factor"),
+    ([1.5, -0.5], "nonnegative"),
+    ([0.5, 0.25], "sum to 1"),
+])
+def test_convex_combination_space_refuses_bad_weights(line3, line4, lam, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        convex_combination_space(lam, [line3, line4])
+    assert info.value.code == "invariant.weights"
+
+
 def test_short_and_isometric_maps(line3, line4):
     # contract everything to one point: short but not isometric
     const = [0, 0, 0]

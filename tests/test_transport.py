@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpace,
                          FiniteMetricSpace, MultiSet, ValidationError,
                          bistochastic_min, coupling_cost, dirac, empirical_sym,
-                         first_moment, mixture, validate_coupling, w1_assignment,
+                         first_moment, mixture, multiset_distance_bruteforce,
+                         transport, validate_coupling, w1_assignment,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
 from kantorovich.samplers import (random_measure, random_metric_space,
                                   random_rational_pair, rng_from)
-from kantorovich.tolerances import MAX_SUPPORT_PAIRS, TAU_SOLVER
+from kantorovich.tolerances import (MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SUPPORT_PAIRS,
+                                    TAU_SOLVER)
 from kantorovich.transport import _transport_plan
 
 
@@ -279,6 +281,34 @@ def test_engine_refuses_work_above_its_budget():
         with pytest.raises(ValidationError, match="support pairs") as info:
             wasserstein1(p, q, solver=solver)
         assert info.value.code == "invariant.size_cap"
+
+
+# Each case: the refusal code, and a call on line4 that must raise it.
+_REFUSALS = {
+    "assignment of general float weights": ("solver.unsupported", lambda s: wasserstein1(
+        DiscreteMeasure(s, [0, 1], [0.25, 0.75]), dirac(s, 3), solver="assignment")),
+    "assignment above its cap": ("invariant.size_cap", lambda s: wasserstein1(
+        DiscreteMeasure.from_rational(s, [0, 1], [1, MAX_ASSIGNMENT_SIZE],
+                                      MAX_ASSIGNMENT_SIZE + 1),
+        dirac(s, 3), solver="assignment")),
+    "brute above its cap": ("invariant.size_cap", lambda s: wasserstein1(
+        DiscreteMeasure.from_rational(s, [0, 1], [1, MAX_BRUTE_SIZE], MAX_BRUTE_SIZE + 1),
+        dirac(s, 3), solver="brute")),
+    "brute against a wrong oracle": ("solver.disagreement", lambda s: wasserstein1(
+        dirac(s, 0), dirac(s, 3), solver="brute")),
+    "multiset oracle above its cap": ("invariant.size_cap", lambda s: multiset_distance_bruteforce(
+        MultiSet(s, [0] * (MAX_BRUTE_SIZE + 1)), MultiSet(s, [3] * (MAX_BRUTE_SIZE + 1)))),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_routes_refuse_what_they_cannot_do(line4, monkeypatch, case):
+    code, call = _REFUSALS[case]
+    if code == "solver.disagreement":
+        monkeypatch.setattr(transport, "w1_bruteforce", lambda p, q: 1.0)
+    with pytest.raises(ValidationError) as info:
+        call(line4)
+    assert info.value.code == code
 
 
 def test_results_keep_only_the_nonzero_plan():
