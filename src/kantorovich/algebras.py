@@ -19,8 +19,9 @@ import numpy as np
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _weights, dirac
 from .monad import NestedMeasure, expectation
-from .samplers import random_measure, rng_from, simplex_floats, simplex_fractions
+from .samplers import random_measure, rng_from, simplex_floats, simplex_fractions, sweep
 from .spaces import NORMS, EuclideanSpace, vector_distance
+from .tolerances import MAX_ALGEBRA_DIM
 
 
 class ConvexAlgebra:
@@ -31,6 +32,9 @@ class ConvexAlgebra:
     def __init__(self, dim: int, norm: str = "l2"):
         if dim <= 0:
             raise ValidationError("invariant.algebra", "dimension must be positive")
+        if dim > MAX_ALGEBRA_DIM:
+            raise ValidationError("invariant.size_cap",
+                                  f"dimension {dim} exceeds cap {MAX_ALGEBRA_DIM}")
         if norm not in NORMS:
             raise ValidationError("invariant.algebra", f"unknown norm {norm!r}")
         self.dim = int(dim)
@@ -132,15 +136,11 @@ def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> d
 
     Returns worst equality discrepancy and worst inequality violation.
     """
-    rng = rng_from(seed, 201)
-    worst_eq = 0.0
-    worst_violation = 0.0
-    for _ in range(trials):
+
+    def trial(rng) -> tuple[float, float]:
         x, y, z = rng.uniform(-8.0, 8.0, size=(3, algebra.dim))
         lam = float(rng.random())
         lhs = algebra.distance(c_lambda(algebra, lam, x, z), c_lambda(algebra, lam, y, z))
-        worst_eq = max(worst_eq, abs(lhs - lam * algebra.distance(x, y)))
-
         n = int(rng.integers(1, 5))
         xs = rng.uniform(-8.0, 8.0, size=(n, algebra.dim))
         ys = rng.uniform(-8.0, 8.0, size=(n, algebra.dim))
@@ -148,8 +148,9 @@ def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> d
         left = algebra.distance(xs.T @ lams, ys.T @ lams)
         right = math.fsum(float(l) * algebra.distance(a, b)
                           for l, a, b in zip(lams, xs, ys))
-        worst_violation = max(worst_violation, left - right)
-    return {"binary_equality": worst_eq, "general_violation": max(worst_violation, 0.0)}
+        return abs(lhs - lam * algebra.distance(x, y)), left - right
+
+    return sweep(trials, rng_from(seed, 201), ("binary_equality", "general_violation"), trial)
 
 
 def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
@@ -161,25 +162,13 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
         return c_lambda(algebra, lam, x, y) if weight_on_first \
             else c_lambda(algebra, 1.0 - lam, x, y)
 
-    rng = rng_from(seed, 202)
-    worst = {"unitality": 0.0, "idempotency": 0.0, "commutativity": 0.0,
-             "associativity": 0.0}
-    for _ in range(trials):
+    def trial(rng) -> tuple[float, float, float, float]:
         x, y, z = rng.uniform(-8.0, 8.0, size=(3, algebra.dim))
         lam, mu = float(rng.random()), float(rng.random())
-
         # endpoints: comb(0, x, y) hands back y when the weight rides on the
         # first argument, x under the mirrored reading; comb(1, ..) flips
-        at_zero = y if weight_on_first else x
-        at_one = x if weight_on_first else y
-        worst["unitality"] = max(worst["unitality"],
-                                 algebra.distance(comb(0.0, x, y), at_zero),
-                                 algebra.distance(comb(1.0, x, y), at_one))
-        worst["idempotency"] = max(worst["idempotency"],
-                                   algebra.distance(comb(lam, x, x), x))
-        worst["commutativity"] = max(
-            worst["commutativity"],
-            algebra.distance(comb(lam, x, y), comb(1.0 - lam, y, x)))
+        at_zero, at_one = (y, x) if weight_on_first else (x, y)
+        associativity = 0.0
         if lam * mu < 1.0:
             # weight on first:  comb(l, comb(m, x, y), z) = comb(lm, x, comb(n, y, z))
             # weight on second: the mirror image, with the same reparametrization
@@ -190,9 +179,15 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
             else:
                 lhs = comb(lam, x, comb(mu, y, z))
                 rhs = comb(lam * mu, comb(nu, x, y), z)
-            worst["associativity"] = max(worst["associativity"],
-                                         algebra.distance(lhs, rhs))
-    return worst
+            associativity = algebra.distance(lhs, rhs)
+        return (max(algebra.distance(comb(0.0, x, y), at_zero),
+                    algebra.distance(comb(1.0, x, y), at_one)),
+                algebra.distance(comb(lam, x, x), x),
+                algebra.distance(comb(lam, x, y), comb(1.0 - lam, y, x)),
+                associativity)
+
+    return sweep(trials, rng_from(seed, 202),
+                 ("unitality", "idempotency", "commutativity", "associativity"), trial)
 
 
 def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> dict[str, float]:
@@ -204,52 +199,45 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
     power_square:    mean of block means = global mean (equal blocks)
     affine:          short affine maps commute with barycenters
     """
-    rng = rng_from(seed, 203)
-    worst = {"unit": 0.0, "multiplication": 0.0, "power_triangle": 0.0,
-             "power_square": 0.0, "affine_naturality": 0.0}
-    for _ in range(trials):
+
+    def trial(rng) -> tuple[float, float, float, float, float]:
         k = int(rng.integers(2, 7))
         points = _random_points(rng, k, algebra.dim)
         space = EuclideanSpace(points, algebra.norm).to_metric()
 
         i = int(rng.integers(0, k))
-        worst["unit"] = max(worst["unit"], algebra.distance(
-            barycenter(algebra, dirac(space, i)), points[i]))
+        unit = algebra.distance(barycenter(algebra, dirac(space, i)), points[i])
 
         n_inner = int(rng.integers(1, 4))
         inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
         outer = simplex_fractions(rng, n_inner, int(rng.integers(1, 13)))
         mu = NestedMeasure(space, inner, outer)
-        via_expectation = barycenter(algebra, expectation(mu))
         via_points = np.zeros(algebra.dim)
         for w, m in zip(mu.outer_weights, mu.inner):
             via_points += float(w) * barycenter(algebra, m)
-        worst["multiplication"] = max(worst["multiplication"],
-                                      algebra.distance(via_expectation, via_points))
+        multiplication = algebra.distance(barycenter(algebra, expectation(mu)), via_points)
 
         m_size = int(rng.integers(1, 5))
         reps = int(rng.integers(1, 4))
         sample = points[rng.integers(0, k, size=m_size)]
         repeated = np.concatenate([sample] * reps, axis=0)
-        worst["power_triangle"] = max(worst["power_triangle"], algebra.distance(
-            mean_point(sample), mean_point(repeated)))
+        power_triangle = algebra.distance(mean_point(sample), mean_point(repeated))
 
         blocks = rng.integers(0, k, size=(int(rng.integers(1, 4)), m_size))
         block_means = [mean_point(points[b]) for b in blocks]
-        flat = points[blocks.reshape(-1)]
-        worst["power_square"] = max(worst["power_square"], algebra.distance(
-            mean_point(block_means), mean_point(flat)))
+        power_square = algebra.distance(mean_point(block_means),
+                                        mean_point(points[blocks.reshape(-1)]))
 
         matrix, offset = _random_short_affine(rng, algebra)
         p = random_measure(rng, space, space.n)
-        image_points = points @ matrix.T + offset
-        image_space = EuclideanSpace(image_points, algebra.norm).to_metric()
+        image_space = EuclideanSpace(points @ matrix.T + offset, algebra.norm).to_metric()
         image_measure = DiscreteMeasure(image_space, list(p.support), list(p.fractions))
-        lhs = matrix @ barycenter(algebra, p) + offset
-        rhs = barycenter(algebra, image_measure)
-        worst["affine_naturality"] = max(worst["affine_naturality"],
-                                         algebra.distance(lhs, rhs))
-    return worst
+        affine = algebra.distance(matrix @ barycenter(algebra, p) + offset,
+                                  barycenter(algebra, image_measure))
+        return unit, multiplication, power_triangle, power_square, affine
+
+    return sweep(trials, rng_from(seed, 203), ("unit", "multiplication", "power_triangle",
+                                               "power_square", "affine_naturality"), trial)
 
 
 def _random_short_affine(rng: np.random.Generator,

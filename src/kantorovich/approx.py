@@ -21,7 +21,7 @@ from .measures import DiscreteMeasure
 from .monad import empirical_sym
 from .power import MultiSet
 from .samplers import RNG_ALGORITHM, rng_from
-from .tolerances import MAX_SAMPLE_SIZE
+from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 from .transport import _exact_weights, w1_flow, wasserstein1
 
 __all__ = [
@@ -133,6 +133,8 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
     """
     if trials <= 0:
         raise ValidationError("invariant.weights", "trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
     rows: list[dict] = []
     for n in sizes:
         n = int(n)

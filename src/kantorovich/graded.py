@@ -114,27 +114,34 @@ def nested_tuple_distance(a: NestedTuple, b: NestedTuple) -> float:
 # coherence checks (0.0 on success, metric distance of the two sides else)
 
 
-def unit_discrepancy_tuple(t: PointTuple) -> float:
-    """Embed a tuple as a single row and as a column of singletons; both
-    flatten back to the original tuple."""
-    as_row = curry_flatten(NestedTuple(t.space, [t.entries]))
-    as_col = curry_flatten(NestedTuple(t.space, [[x] for x in t.entries]))
+# The nesting, flattening and distance of tuples (False) and multisets (True).
+_KINDS = {False: (NestedTuple, curry_flatten, tuple_distance),
+          True: (NestedMultiSet, flatten_multiset, multiset_distance)}
+
+
+def _discrepancy(a, b, distance) -> float:
+    """0.0 when two samples agree entry for entry, else their distance."""
+    return 0.0 if a.entries == b.entries else distance(a, b)
+
+
+def _unit_discrepancy(sample, symmetrized: bool) -> float:
+    """Embed a sample as a single row and as a column of singletons; both
+    flatten back to the original sample."""
+    nest, flatten, distance = _KINDS[symmetrized]
     worst = 0.0
-    for other in (as_row, as_col):
-        if other.entries != t.entries:
-            worst = max(worst, tuple_distance(t, other))
+    for rows in ([sample.entries], [[x] for x in sample.entries]):
+        worst = max(worst, _discrepancy(sample, flatten(nest(sample.space, rows)), distance))
     return worst
+
+
+def unit_discrepancy_tuple(t: PointTuple) -> float:
+    """Unit triangles of tuples."""
+    return _unit_discrepancy(t, symmetrized=False)
 
 
 def unit_discrepancy_multiset(ms: MultiSet) -> float:
     """Multiset version of the unit triangles."""
-    as_row = flatten_multiset(NestedMultiSet(ms.space, [ms.entries]))
-    as_col = flatten_multiset(NestedMultiSet(ms.space, [[x] for x in ms.entries]))
-    worst = 0.0
-    for other in (as_row, as_col):
-        if other.entries != ms.entries:
-            worst = max(worst, multiset_distance(ms, other))
-    return worst
+    return _unit_discrepancy(ms, symmetrized=True)
 
 
 def check_assoc_square(space: FiniteMetricSpace, grid3: Sequence[Sequence[Sequence[int]]],
@@ -142,32 +149,13 @@ def check_assoc_square(space: FiniteMetricSpace, grid3: Sequence[Sequence[Sequen
     """Flatten a 3-deep nesting inner-first and outer-first; the results must
     coincide. ``grid3`` is an n-outer list of m-middle lists of l-inner index
     lists (rectangular)."""
-    if symmetrized:
-        inner_first = flatten_multiset(NestedMultiSet(
-            space, [flatten_multiset(NestedMultiSet(space, block)).entries for block in grid3]))
-        outer_blocks: list[Sequence[int]] = []
-        for block in grid3:
-            outer_blocks.extend(block)
-        outer_first = flatten_multiset(NestedMultiSet(space, outer_blocks))
-        if inner_first.entries == outer_first.entries:
-            return 0.0
-        return multiset_distance(inner_first, outer_first)
-
-    inner_first_t = curry_flatten(NestedTuple(
-        space, [curry_flatten(NestedTuple(space, block)).entries for block in grid3]))
-    rows: list[Sequence[int]] = []
-    for block in grid3:
-        rows.extend(block)
-    outer_first_t = curry_flatten(NestedTuple(space, rows))
-    if inner_first_t.entries == outer_first_t.entries:
-        return 0.0
-    return tuple_distance(inner_first_t, outer_first_t)
+    nest, flatten, distance = _KINDS[symmetrized]
+    inner_first = flatten(nest(space, [flatten(nest(space, block)).entries for block in grid3]))
+    outer_first = flatten(nest(space, [row for block in grid3 for row in block]))
+    return _discrepancy(inner_first, outer_first, distance)
 
 
 def check_double_quotient(nt: NestedTuple) -> float:
     """Quotient rows then flatten, against flatten then quotient."""
     via_rows = flatten_multiset(quotient_rows(nt))
-    via_flat = quotient(curry_flatten(nt))
-    if via_rows.entries == via_flat.entries:
-        return 0.0
-    return multiset_distance(via_rows, via_flat)
+    return _discrepancy(via_rows, quotient(curry_flatten(nt)), multiset_distance)

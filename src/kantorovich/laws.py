@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .graded import (check_assoc_square, check_double_quotient, curry_flatten,
-                     nested_tuple_distance, unit_discrepancy_multiset,
-                     unit_discrepancy_tuple)
+from .graded import (_discrepancy, check_assoc_square, check_double_quotient, curry_flatten,
+                     nested_tuple_distance, unit_discrepancy_multiset, unit_discrepancy_tuple)
 from .measures import dirac, first_moment, mixture, pushforward
 from .monad import (check_expectation_flatten, check_iota_isometry, check_monad_laws,
                     check_ppx_square, empirical_sym)
@@ -25,7 +25,7 @@ from .power import (multiset_distance, multiset_distance_bruteforce, precompose,
 from .samplers import (random_euclidean_space, random_finunif,
                        random_measure, random_multiset, random_nested_multiset,
                        random_nested_tuple, random_rational_pair, random_space,
-                       random_tuple, rng_from)
+                       random_tuple, rng_from, sweep)
 from .spaces import EuclideanSpace
 from .tolerances import EXACT_TOL, TAU_SOLVER
 from .transport import w1_bruteforce, w1_flow, wasserstein1
@@ -59,17 +59,10 @@ def run_law_suite(trials: int = 100, seed: int = 0, max_points: int = 6,
     monad_worst = check_monad_laws(trials, seed, max_points, max_support)
     out = [_result(f"monad.{law}", trials, worst, EXACT_TOL)
            for law, worst in monad_worst.items()]
-    out += [_result(law, trials, _sweep(trials, seed, stream, check), tol)
-            for law, stream, check, tol in _SWEPT_LAWS]
+    for law, stream, check, tol in _SWEPT_LAWS:
+        worst = sweep(trials, rng_from(seed, stream), (law,), lambda rng: (check(rng),))
+        out.append(_result(law, trials, worst[law], tol))
     return out
-
-
-def _sweep(trials: int, seed: int, stream: int, check) -> float:
-    rng = rng_from(seed, stream)
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, check(rng))
-    return worst
 
 
 # --- individual checks (each returns one trial's discrepancy) --------------
@@ -118,20 +111,20 @@ def _short_map_instance(rng):
     sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
     if sigma > 0:
         matrix /= (sigma * 1.0000001)
-    image = space.coords @ matrix.T
-    image_space = EuclideanSpace(image, "l2").to_metric()
-    return space, image_space
+    return space, EuclideanSpace(space.coords @ matrix.T, "l2").to_metric()
+
+
+def _pushed_w1(p, q, target) -> float:
+    """W1 of p and q pushed forward along the identity of indices into target."""
+    identity = list(range(p.space.n))
+    return w1_flow(pushforward(identity, p, target), pushforward(identity, q, target)).cost
 
 
 def _pushforward_short(rng) -> float:
     space, image_space = _short_map_instance(rng)
     p = random_measure(rng, space)
     q = random_measure(rng, space)
-    identity = list(range(space.n))
-    before = w1_flow(p, q).cost
-    after = w1_flow(pushforward(identity, p, image_space),
-                    pushforward(identity, q, image_space)).cost
-    return max(0.0, after - before)
+    return max(0.0, _pushed_w1(p, q, image_space) - w1_flow(p, q).cost)
 
 
 def _embedding_invariance(rng) -> float:
@@ -142,11 +135,7 @@ def _embedding_invariance(rng) -> float:
     small_space = EuclideanSpace(big_space.coords[:small], "l2").to_metric()
     p = random_measure(rng, small_space)
     q = random_measure(rng, small_space)
-    identity = list(range(small))
-    inside = w1_flow(p, q).cost
-    outside = w1_flow(pushforward(identity, p, big_space),
-                      pushforward(identity, q, big_space)).cost
-    return abs(inside - outside)
+    return abs(w1_flow(p, q).cost - _pushed_w1(p, q, big_space))
 
 
 def _duality_gap(rng) -> float:
@@ -215,10 +204,7 @@ def _quotient_naturality(rng) -> float:
     phi = random_finunif(rng, t_len, fiber)
     t = random_tuple(rng, space, t_len)
     via_precompose = quotient(precompose(phi, t))
-    via_repeat = repeat_embedding(quotient(t), fiber)
-    if via_precompose.entries == via_repeat.entries:
-        return 0.0
-    return multiset_distance(via_precompose, via_repeat)
+    return _discrepancy(via_precompose, repeat_embedding(quotient(t), fiber), multiset_distance)
 
 
 def _graded_units(rng) -> float:
@@ -228,26 +214,22 @@ def _graded_units(rng) -> float:
                unit_discrepancy_multiset(random_multiset(rng, space, n)))
 
 
-def _grid3(rng, space):
+def _associativity(rng, symmetrized: bool) -> float:
+    space = random_space(rng)
     outer, mid, inner = (int(v) for v in rng.integers(1, 4, size=3))
-    return [[[int(v) for v in rng.integers(0, space.n, size=inner)]
-             for _ in range(mid)] for _ in range(outer)]
+    grid3 = [[[int(v) for v in rng.integers(0, space.n, size=inner)]
+              for _ in range(mid)] for _ in range(outer)]
+    return check_assoc_square(space, grid3, symmetrized)
 
 
-def _assoc_tuple(rng) -> float:
+def _nested(rng, draw):
+    """A nesting from ``draw`` on a fresh random space: 1 to 3 by 1 to 3."""
     space = random_space(rng)
-    return check_assoc_square(space, _grid3(rng, space), symmetrized=False)
-
-
-def _assoc_multiset(rng) -> float:
-    space = random_space(rng)
-    return check_assoc_square(space, _grid3(rng, space), symmetrized=True)
+    return draw(rng, space, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
 
 
 def _double_quotient(rng) -> float:
-    space = random_space(rng)
-    nt = random_nested_tuple(rng, space, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    return check_double_quotient(nt)
+    return check_double_quotient(_nested(rng, random_nested_tuple))
 
 
 def _flatten_isometry(rng) -> float:
@@ -260,17 +242,11 @@ def _flatten_isometry(rng) -> float:
 
 
 def _expectation_flatten(rng) -> float:
-    space = random_space(rng)
-    nms = random_nested_multiset(rng, space, int(rng.integers(1, 4)),
-                                 int(rng.integers(1, 4)))
-    return check_expectation_flatten(nms)
+    return check_expectation_flatten(_nested(rng, random_nested_multiset))
 
 
 def _ppx_square(rng) -> float:
-    space = random_space(rng)
-    nms = random_nested_multiset(rng, space, int(rng.integers(1, 4)),
-                                 int(rng.integers(1, 4)))
-    return 0.0 if check_ppx_square(nms) else 1.0
+    return 0.0 if check_ppx_square(_nested(rng, random_nested_multiset)) else 1.0
 
 
 # (name, seed stream, one-trial check, tolerance), in report order.
@@ -290,8 +266,8 @@ _SWEPT_LAWS = (
     ("power.precompose_isometry", 23, _precompose_isometry, EXACT_TOL),
     ("power.quotient_naturality", 24, _quotient_naturality, 0.0),
     ("graded.unit_triangles", 25, _graded_units, 0.0),
-    ("graded.associativity_tuple", 26, _assoc_tuple, 0.0),
-    ("graded.associativity_multiset", 27, _assoc_multiset, 0.0),
+    ("graded.associativity_tuple", 26, partial(_associativity, symmetrized=False), 0.0),
+    ("graded.associativity_multiset", 27, partial(_associativity, symmetrized=True), 0.0),
     ("graded.double_quotient", 28, _double_quotient, 0.0),
     ("graded.flatten_isometry", 29, _flatten_isometry, EXACT_TOL),
     ("monad.expectation_flatten", 30, _expectation_flatten, 0.0),

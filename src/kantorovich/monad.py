@@ -16,7 +16,8 @@ from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
 from .measures import DiscreteMeasure, _weights, dirac, mixture, weight_discrepancy
 from .power import MultiSet, PointTuple, multiset_distance
-from .samplers import random_measure, random_space, rng_from, simplex_floats, simplex_fractions
+from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
+                       sweep)
 from .spaces import FiniteMetricSpace, same_space
 from .transport import w1_flow
 
@@ -223,32 +224,23 @@ def check_monad_laws(trials: int, seed: int = 0, max_points: int = 6,
     Each trial draws a fresh space with ``random_space`` and measures on it
     with ``random_measure``; with exact weights every discrepancy is 0.0.
     """
-    rng = rng_from(seed)
 
-    def coeffs(k: int) -> list:
+    def coeffs(rng, k: int) -> list:
         return simplex_fractions(rng, k, 16) if exact else simplex_floats(rng, k)
 
-    worst = {"left_unit": 0.0, "right_unit": 0.0, "associativity": 0.0}
-    for _ in range(trials):
+    def trial(rng) -> tuple[float, float, float]:
         space = random_space(rng, max_points)
         p = random_measure(rng, space, max_support, exact)
-        worst["left_unit"] = max(worst["left_unit"],
-                                 weight_discrepancy(expectation(nested_dirac(p)), p))
-        worst["right_unit"] = max(
-            worst["right_unit"],
-            weight_discrepancy(expectation(kernel_pushforward(dirac_kernel(space), p)), p))
-
         nested = []
-        k = int(rng.integers(1, 4))
-        for _i in range(k):
+        for _i in range(int(rng.integers(1, 4))):
             js = int(rng.integers(1, 4))
             inner = [random_measure(rng, space, max_support, exact) for _j in range(js)]
-            nested.append(NestedMeasure(space, inner, coeffs(js)))
-        outer = coeffs(k)
-
+            nested.append(NestedMeasure(space, inner, coeffs(rng, js)))
+        outer = coeffs(rng, len(nested))
         inner_first = expectation(NestedMeasure(space, [expectation(nu) for nu in nested], outer))
         outer_first = expectation(nested_expectation_outer(outer, nested))
-        worst["associativity"] = max(worst["associativity"],
-                                     weight_discrepancy(inner_first, outer_first))
-    return worst
+        return (weight_discrepancy(expectation(nested_dirac(p)), p),
+                weight_discrepancy(expectation(kernel_pushforward(dirac_kernel(space), p)), p),
+                weight_discrepancy(inner_first, outer_first))
 
+    return sweep(trials, rng_from(seed), ("left_unit", "right_unit", "associativity"), trial)

@@ -10,14 +10,16 @@ exactness claims of the law checks honest.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
 from .graded import NestedMultiSet, NestedTuple
 from .measures import DiscreteMeasure
 from .power import FinUnifMap, MultiSet, PointTuple
 from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace
+from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -25,6 +27,19 @@ RNG_ALGORITHM = "numpy-pcg64"
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for a (seed, stream...) tuple."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(s) for s in stream]]))
+
+
+def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
+          trial: Callable[[np.random.Generator], Sequence[float]]) -> dict[str, float]:
+    """Worst value of each named discrepancy over ``trials`` calls of
+    ``trial(rng)``, which returns one value per name, in order."""
+    if trials > MAX_TRIALS:
+        raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
+    worst = dict.fromkeys(names, 0.0)
+    for _ in range(trials):
+        for name, value in zip(names, trial(rng)):
+            worst[name] = max(worst[name], value)
+    return worst
 
 
 def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
@@ -42,7 +57,10 @@ def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetric
 
 def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
                            norm: str | None = None) -> FiniteMetricSpace:
-    """Distinct integer-grid points in R^dim under a random or given norm."""
+    """Distinct points of the integer grid [-8, 8]^dim under a random or given norm."""
+    if n_points > MAX_RANDOM_POINTS ** dim:
+        raise ValidationError("invariant.size_cap",
+                              f"{n_points} points exceed the {dim}-dimensional grid")
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
     seen: set[tuple[int, ...]] = set()
@@ -57,6 +75,9 @@ def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
 
 def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricSpace:
     """Either flavor of random space, at a random size >= 2."""
+    if max_points > MAX_RANDOM_POINTS:
+        raise ValidationError("invariant.size_cap",
+                              f"max_points {max_points} exceeds cap {MAX_RANDOM_POINTS}")
     n = int(rng.integers(2, max_points + 1))
     if rng.integers(0, 2) == 0:
         return random_metric_space(rng, n)

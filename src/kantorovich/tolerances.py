@@ -26,3 +26,11 @@ MAX_BRUTE_SIZE = 8
 
 # Largest sample a single draw may ask for (``sample --size``, study sizes).
 MAX_SAMPLE_SIZE = 1_000_000
+
+# Budgets of the randomized checks: trials of one check (the law suite takes
+# about 9 ms a trial), the dimension of a convex algebra (a dim x dim matrix
+# a trial: 512 KiB, about 5 ms at the cap), and the points of a random space
+# (the 17 integer points of [-8, 8] that its grids draw from).
+MAX_TRIALS = 10_000
+MAX_ALGEBRA_DIM = 256
+MAX_RANDOM_POINTS = 17

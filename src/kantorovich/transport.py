@@ -31,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -128,9 +129,9 @@ _Plan = list[tuple[int, int, Fraction]]
 class _Exact(NamedTuple):
     """The exact numbers of one solve, as integers over common scales."""
 
-    rows: list[int]  # p.support, then q's other support points
-    cost: list[list[int]]  # d(rows[r], q.support[j]) * unit
-    unit: int  # a power of two
+    extra: list[int]  # q's support points outside p.support
+    cost: list[list[int]]  # d(p.support[i], q.support[j]) * unit
+    unit: int  # a power of two, over the rows of p.support and of extra
     a: list[int]  # p's weights * den
     b: list[int]  # q's weights * den
     den: int
@@ -169,14 +170,14 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     supply = [w * (sum(b) // g) for w in a]
     demand = [w * (sum(a) // g) for w in b]
     scale = den * (sum(b) // g)
-    # The rows past p.support serve the potential only. A larger power of two
-    # from them scales every cost alike, which keeps the Dijkstra order, its
-    # ties and so the plan.
-    rows = list(p.support) + sorted(set(q.support) - set(p.support))
-    table = p.space.dist[np.ix_(rows, q.support)]
-    unit = max(c.as_integer_ratio()[1] for row in table for c in row.tolist())
-    cost = [[num * (unit // d) for num, d in map(float.as_integer_ratio, row.tolist())]
-            for row in table]
+    # The rows of extra serve the potential only, and are read one at a time
+    # here and in _assemble. A larger power of two from them scales every
+    # cost alike, which keeps the Dijkstra order, its ties and so the plan.
+    extra = sorted(set(q.support) - set(p.support))
+    columns = np.array(q.support)
+    unit = max(c.as_integer_ratio()[1] for z in (*p.support, *extra)
+               for c in p.space.dist[z, columns].tolist())
+    cost = [_scaled(p.space.dist[x, columns], unit) for x in p.support]
     pot = [0] * (m + n)
     flow = [[0] * n for _ in range(m)]
 
@@ -229,7 +230,12 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
         demand[node - m] -= theta
 
     plan = [(i, j, Fraction(f, scale)) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
-    return plan, _Exact(rows, cost, unit, a, b, den, pot[m:])
+    return plan, _Exact(extra, cost, unit, a, b, den, pot[m:])
+
+
+def _scaled(row: np.ndarray, unit: int) -> list[int]:
+    """A row of float costs times unit, as integers."""
+    return [num * (unit // d) for num, d in map(float.as_integer_ratio, row.tolist())]
 
 
 def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
@@ -237,8 +243,10 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
     """Result for an optimal plan and the engine's optimal right-side duals,
     with the potential and the duality gap computed in the integers of
     ``exact`` up to one correctly rounded division each (int / int)."""
+    columns = np.array(q.support)
+    rows = chain(exact.cost, (_scaled(p.space.dist[z, columns], exact.unit) for z in exact.extra))
     raw = {z: min(c - vj for c, vj in zip(row, exact.v))
-           for z, row in zip(exact.rows, exact.cost)}
+           for z, row in zip((*p.support, *exact.extra), rows)}
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}
     # The plan's cost times plan_den * unit, its dual value times den * unit.

@@ -11,11 +11,8 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
-                         MultiSet, NestedTuple, PointTuple,
+                         MultiSet,
                          bistochastic_min, check_algebra_laws,
                          check_assoc_square, check_double_quotient,
                          check_expectation_flatten, check_iota_isometry,
@@ -24,7 +21,7 @@ from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
                          curry_flatten, dirac, first_moment, mixture,
                          multiset_distance, multiset_distance_bruteforce,
                          nested_tuple_distance, precompose, pushforward,
-                         quotient, rationalize, repeat_embedding,
+                         rationalize, repeat_embedding,
                          truncate_to_ball, tuple_distance,
                          unit_discrepancy_multiset, unit_discrepancy_tuple,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)

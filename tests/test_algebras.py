@@ -2,8 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
                          SimplexWeights, ValidationError, barycenter,

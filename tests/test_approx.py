@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from kantorovich import (DiscreteMeasure, ValidationError, convergence_study,

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kantorovich.cli import main
-from kantorovich.tolerances import MAX_SAMPLE_SIZE
+from kantorovich.tolerances import (MAX_ALGEBRA_DIM, MAX_RANDOM_POINTS, MAX_SAMPLE_SIZE,
+                                    MAX_TRIALS)
 
 CLI = [sys.executable, "-m", "kantorovich.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -323,6 +324,9 @@ _GOOD_MEASURE = {"support": [1], "weights": [1.0]}
 # The least value of each count option; a lower or non-integer value is an
 # invocation error.
 _COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1}
+# The caps of the options that size a run; a larger value is refused with
+# invariant.size_cap before the run starts.
+_CAPS = {"--trials": MAX_TRIALS, "--max-points": MAX_RANDOM_POINTS, "--dim": MAX_ALGEBRA_DIM}
 
 
 def _is_index_array(data) -> bool:
@@ -342,6 +346,14 @@ def _below_minimum(argv: list[str]) -> bool:
     return False
 
 
+def _above_cap(argv: list[str]) -> bool:
+    """Whether an option in ``argv`` is an integer above its cap."""
+    for flag, text in zip(argv, argv[1:]):
+        if flag in _CAPS and re.fullmatch(r"\d+", text) and int(text) > _CAPS[flag]:
+            return True
+    return False
+
+
 def _has_boolean(data) -> bool:
     if isinstance(data, dict):
         data = list(data.values())
@@ -352,8 +364,8 @@ def _has_boolean(data) -> bool:
 
 @given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "coupling", "dual",
                                 "sample", "laws", "--trials", "--max-points", "--max-support",
-                                "algebra-check", "tuple", "multiset", "rationalize", "truncate",
-                                "study"]),
+                                "algebra-check", "--dim", "tuple", "multiset", "rationalize",
+                                "truncate", "study"]),
        space=_SPACES, p=st.one_of(_MEASURES, _INDICES), q=st.one_of(_MEASURES, _INDICES),
        option=_OPTION)
 @example(command="auto", space=_GOOD_SPACE,
@@ -380,6 +392,16 @@ def _has_boolean(data) -> bool:
          option="1")
 @example(command="--max-support", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
          option="0")
+@example(command="--trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_TRIALS + 1))
+@example(command="--max-points", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_RANDOM_POINTS + 1))
+@example(command="algebra-check", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_TRIALS + 1))
+@example(command="--dim", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_ALGEBRA_DIM + 1))
+@example(command="study-trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
+         option=str(MAX_TRIALS + 1))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, option):
@@ -389,7 +411,10 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     # is refused, and so is an index file that is not a flat array of
     # integers. ``option`` is the value of the one numeric option a command
     # takes from the fuzzer; the commands named after a law-suite count give
-    # it to that count, and a count below its least value is refused.
+    # it to that count, ``--dim`` to the algebra's dimension and
+    # ``study-trials`` (an example only: the library, not the parser, refuses
+    # a study's trials below 1) to the study's trials. A count below its least
+    # value is refused, and so is a size above its cap.
     paths = {}
     for name, data in (("space", space), ("p", p), ("q", q)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -405,6 +430,8 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         argv, read = ["laws", *(text for item in counts.items() for text in item)], []
     elif command == "algebra-check":
         argv, read = ["algebra-check", "--dim", "2", "--trials", option], []
+    elif command == "--dim":
+        argv, read = ["algebra-check", "--dim", option, "--trials", "1"], []
     elif command in ("tuple", "multiset"):
         argv = ["power-dist", "--space", paths["space"], "--a", paths["p"], "--b", paths["q"],
                 "--kind", command]
@@ -415,6 +442,8 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         argv = ["approx", *inputs, "--mode", command, "--center", "0", "--radius", option]
     elif command == "study":
         argv = ["approx", *inputs, "--mode", command, "--sizes", option, "--trials", "2"]
+    elif command == "study-trials":
+        argv = ["approx", *inputs, "--mode", "study", "--sizes", "2", "--trials", option]
     elif command in ("coupling", "dual"):
         argv = [command, *inputs, "--q", paths["q"]]
         read = [p, q]
@@ -435,6 +464,9 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     if _below_minimum(argv):
         assert code == 1
         assert json.loads(err.getvalue())["error"]["code"] == "cli.arguments"
+    if _above_cap(argv):
+        assert code == 1
+        assert json.loads(err.getvalue())["error"]["code"] == "invariant.size_cap"
     if code == 1:
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"]["code"]

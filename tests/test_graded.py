@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantorovich import (MultiSet, NestedMultiSet, NestedTuple, PointTuple,
+from kantorovich import (MultiSet, NestedMultiSet, NestedTuple,
                          ValidationError, check_assoc_square,
                          check_double_quotient, curry_flatten,
                          flatten_multiset, multiset_distance,
                          nested_tuple_distance, quotient_rows, tuple_distance,
                          unit_discrepancy_multiset, unit_discrepancy_tuple)
 from kantorovich.samplers import (random_metric_space, random_multiset,
-                                  random_nested_multiset, random_nested_tuple,
+                                  random_nested_tuple,
                                   random_tuple, rng_from)
 
 

@@ -1,6 +1,11 @@
 import json
 
-from kantorovich import LawResult, run_law_suite
+import pytest
+
+from kantorovich import (ConvexAlgebra, LawResult, ValidationError, convergence_study, dirac,
+                         run_law_suite)
+from kantorovich.samplers import random_euclidean_space, random_space, rng_from, sweep
+from kantorovich.tolerances import MAX_ALGEBRA_DIM, MAX_RANDOM_POINTS, MAX_TRIALS
 
 EXPECTED_LAWS = {
     "monad.left_unit", "monad.right_unit", "monad.associativity",
@@ -48,3 +53,31 @@ def test_law_result_flags_failure():
     r = LawResult(law="demo", trials=1, worst_discrepancy=0.5, tolerance=1e-8,
                   passed=False)
     assert r.to_json()["pass"] is False
+
+
+def test_sweep_keeps_the_worst_of_each_name_in_order():
+    values = iter([(0.5, -1.0, 0.0), (0.25, 2.0, 0.0)])
+    worst = sweep(2, rng_from(0), ("b", "a", "c"), lambda rng: next(values))
+    assert list(worst.items()) == [("b", 0.5), ("a", 2.0), ("c", 0.0)]
+    assert sweep(0, rng_from(0), ("b", "a"), lambda rng: 1 / 0) == {"b": 0.0, "a": 0.0}
+
+
+_ABOVE_CAPS = {
+    "grid points": lambda rng: random_euclidean_space(rng, MAX_RANDOM_POINTS + 1, 1),
+    "space size": lambda rng: random_space(rng, MAX_RANDOM_POINTS + 1),
+    "sweep trials": lambda rng: sweep(MAX_TRIALS + 1, rng, ("x",), lambda r: (r.random(),)),
+    "study trials": lambda rng: convergence_study(
+        dirac(random_space(rng_from(0)), 0), [2], MAX_TRIALS + 1),
+    "algebra dim": lambda rng: ConvexAlgebra(MAX_ALGEBRA_DIM + 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_ABOVE_CAPS))
+def test_randomized_checks_refuse_sizes_above_their_caps(case):
+    # Refused before any draw: the generator's state is untouched.
+    rng = rng_from(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError) as info:
+        _ABOVE_CAPS[case](rng)
+    assert info.value.code == "invariant.size_cap"
+    assert rng.bit_generator.state == state

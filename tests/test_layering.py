@@ -1,11 +1,13 @@
 """The package's modules import each other in layers: every import sits at
-module level, and the imports between the package's modules form no cycle."""
+module level, the imports between the package's modules form no cycle, and
+no module or test imports a name it does not use."""
 
 import ast
 import graphlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kantorovich"
+TESTS = Path(__file__).resolve().parent
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -41,3 +43,26 @@ def test_module_imports_form_no_cycle():
              for module, tree in _modules().items()}
     assert set().union(*graph.values()) <= set(graph)
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports but never reads; a module's ``__all__``
+    entries count as read."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    # The package's __init__ imports only to re-export.
+    paths = [*(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
+             *sorted(TESTS.glob("*.py"))]
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from kantorovich import (DiscreteMeasure, MultiSet,
                          NestedMeasure, PointTuple, check_expectation_flatten,
                          check_iota_isometry, check_monad_laws,
@@ -11,7 +9,7 @@ from kantorovich import (DiscreteMeasure, MultiSet,
                          nested_expectation_outer, nested_weight_discrepancy,
                          wasserstein1)
 from kantorovich.samplers import (random_measure, random_metric_space,
-                                  random_multiset, random_nested_multiset,
+                                  random_nested_multiset,
                                   rng_from, simplex_fractions)
 
 

@@ -1,11 +1,10 @@
-import math
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantorovich import (FinUnifMap, FiniteMetricSpace, MultiSet, PointTuple,
+from kantorovich import (FinUnifMap, MultiSet, PointTuple,
                          ValidationError, multiset_distance,
                          multiset_distance_bruteforce, precompose, quotient,
                          repeat_embedding, tuple_distance, validate_finunif)

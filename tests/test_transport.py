@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpac
                          first_moment, mixture, multiset_distance_bruteforce,
                          transport, validate_coupling, w1_assignment,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
-from kantorovich.samplers import (random_measure, random_metric_space,
+from kantorovich.samplers import (random_euclidean_space, random_measure, random_metric_space,
                                   random_rational_pair, rng_from)
 from kantorovich.tolerances import (MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SUPPORT_PAIRS,
                                     TAU_SOLVER)
@@ -375,3 +376,21 @@ def test_certificate_is_exactly_tight_on_integer_tables():
                     assert abs(f[x] - f[y]) <= space.d(x, y)
             if exact:
                 assert result.gap == 0.0
+
+
+def test_potential_rows_are_reduced_one_at_a_time():
+    # A Dirac against 150 other l2 points: the 150 rows of q's support serve
+    # only the potential, and a solve that held them all as exact integers
+    # would trace about 1.2 MB here.
+    space = random_euclidean_space(rng_from(20), 151, 2, "l2")
+    p = dirac(space, 0)
+    q = DiscreteMeasure(space, list(range(1, 151)), [Fraction(1, 150)] * 150)
+    tracemalloc.start()
+    try:
+        result = w1_flow(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.gap <= TAU_SOLVER
+    assert result.cost == pytest.approx(first_moment(q, 0), abs=1e-12)
+    assert peak < 500_000, peak
