@@ -77,8 +77,9 @@ _SEED = _option(int, "a nonnegative integer", lambda value: value >= 0)
 _FINITE = _option(float, "a finite number", math.isfinite)
 _SIZES = _option(lambda text: [int(s) for s in text.split(",") if s],
                  "a comma-separated list of integers")
-# Counts: zero trials would check nothing, and the law-suite samplers draw
-# spaces of at least two points and supports of at least one.
+# Counts: zero trials would check nothing, a space or a sample has at least
+# one point, and the law-suite samplers draw spaces of at least two points
+# and supports of at least one.
 _POSITIVE = _option(int, "a positive integer", lambda value: value >= 1)
 _TWO_OR_MORE = _option(int, "an integer of at least 2", lambda value: value >= 2)
 
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(laws, seed=True)
 
     algebra = subs.add_parser("algebra-check", help="check convex-algebra laws on R^d")
-    algebra.add_argument("--dim", type=int, default=3)
+    algebra.add_argument("--dim", type=_POSITIVE, default=3)
     algebra.add_argument("--norm", default="l2", choices=["l1", "l2", "linf"])
     algebra.add_argument("--trials", type=_POSITIVE, default=100)
     algebra.add_argument("--weight-on-second", action="store_true",
@@ -291,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     approx.add_argument("--center", type=int, default=None)
     approx.add_argument("--radius", type=_FINITE, default=None)
     approx.add_argument("--sizes", type=_SIZES, default="8,16,32,64,128")
-    approx.add_argument("--trials", type=int, default=50)
+    approx.add_argument("--trials", type=_POSITIVE, default=50)
     _common_args(approx, seed=True, tolerance=TAU_SOLVER)
 
     sample = subs.add_parser("sample", help="draw an empirical multiset from a measure")
     sample.add_argument("--space", required=True)
     sample.add_argument("--p", required=True)
-    sample.add_argument("--size", type=int, required=True)
+    sample.add_argument("--size", type=_POSITIVE, required=True)
     _common_args(sample, seed=True)
 
     return parser

@@ -36,7 +36,7 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
     weights as a tuple, or None on the float path.
     """
     exact = exact and all(isinstance(w, (int, Fraction)) for w in values)
-    vals = [Fraction(w) if exact else float(w) for w in values]
+    vals = [(w if type(w) is Fraction else Fraction(w)) if exact else float(w) for w in values]
     for i, w in enumerate(vals):
         if not (exact or math.isfinite(w)):
             raise ValidationError(code, f"{label} {i} is not finite: {w!r}")
@@ -62,7 +62,11 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
         raise ValidationError(code, f"{label}s sum to {total}, not 1")
     weights = np.array([float(w) for w in vals])
     weights.setflags(write=False)
-    return keys, weights, tuple(vals) if exact else None
+    if not exact:
+        return keys, weights, None
+    # Equal weights share one Fraction: empirical measures repeat k/N often.
+    shared: dict = {}
+    return keys, weights, tuple(shared.setdefault(w.as_integer_ratio(), w) for w in vals)
 
 
 class DiscreteMeasure:

@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -151,6 +152,14 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     which makes the plan deterministic. At the end pot[m + j] is an optimal
     dual v_j times the cost scale.
 
+    Every supply with mass left is a source and settles first, at distance
+    0, so its potential stays 0 until it runs dry. The sources' sweep of
+    the cost rows is therefore kept from phase to phase: best[j] is the
+    first source of least cost in column j, low[j] that cost, and the two
+    seed the heap. Only the columns whose best source runs dry are swept
+    again. Each demand keeps the rows with positive flow into it, its tight
+    back arcs.
+
     Supply equals demand exactly and every supply reaches every demand, so
     each phase finds a path, and each augmentation meets at least one unit
     of the integer demand, so the phases end. Their work grows with the
@@ -175,26 +184,32 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     # cost alike, which keeps the Dijkstra order, its ties and so the plan.
     extra = sorted(set(q.support) - set(p.support))
     columns = np.array(q.support)
-    unit = max(c.as_integer_ratio()[1] for z in (*p.support, *extra)
-               for c in p.space.dist[z, columns].tolist())
-    cost = [_scaled(p.space.dist[x, columns], unit) for x in p.support]
+    table = [_ratios(p.space, x, columns) for x in p.support]
+    unit = max(max(map(itemgetter(1), row))
+               for row in chain(table, (_ratios(p.space, z, columns) for z in extra)))
+    cost = [_scaled(row, unit) for row in table]
     pot = [0] * (m + n)
-    flow = [[0] * n for _ in range(m)]
+    cols = list(zip(*cost))
+    live = list(range(m))  # the sources, in index order
+    low = [min(col) for col in cols]
+    best = [col.index(c) for col, c in zip(cols, low)]
+    start = [0] * m  # the supplies' distances as a phase starts
+    into: list[dict[int, int]] = [{} for _ in range(n)]  # into[j][i]: flow from i to j
 
-    while any(demand):
-        dist = [math.inf] * (m + n)
-        pred = [-1] * (m + n)
-        done = [False] * (m + n)
-        heap = [(0, i) for i in range(m) if supply[i]]
-        for _, i in heap:
-            dist[i] = 0
+    while live:
+        # The sources are settled; each column starts at its reduced cost
+        # from its best source.
+        dist = start + list(map(sub, low, pot[m:]))
+        pred = [-1] * m + best
+        heap = list(zip(dist[m:], range(m, m + n)))
+        heapq.heapify(heap)
         # A settled node is never relaxed again: its distance is already no
-        # larger than the one being offered.
+        # larger than the one being offered. Entries above a node's distance
+        # are stale.
         while True:
             d, node = heapq.heappop(heap)
-            if done[node]:
+            if d > dist[node]:
                 continue
-            done[node] = True
             if node < m:
                 base = d + pot[node]
                 for k, c in enumerate(cost[node], m):
@@ -206,36 +221,57 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
                 break
             else:
                 # Arcs back along positive flow are tight: reduced cost 0.
-                for i in range(m):
-                    if flow[i][node - m] and d < dist[i]:
+                for i in into[node - m]:
+                    if d < dist[i]:
                         dist[i], pred[i] = d, node
                         heapq.heappush(heap, (d, i))
-        for k in range(m + n):
-            pot[k] += dist[k] if done[k] else d
+        # Lift each potential by min(distance, d): the nodes below d have
+        # settled, and the others are at least d away.
+        pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
 
-        # The path alternates demand, supply, demand, ... back to a supply
-        # with mass left; supply path[k] (k odd) gains flow towards
-        # path[k - 1] and gives it up towards path[k + 1].
-        path = [node]
-        while pred[path[-1]] >= 0:
-            path.append(pred[path[-1]])
-        pushes = [(path[k], path[k - 1] - m) for k in range(1, len(path), 2)]
-        pulls = [(path[k], path[k + 1] - m) for k in range(1, len(path) - 1, 2)]
-        theta = min(supply[path[-1]], demand[node - m], *(flow[i][j] for i, j in pulls))
+        # Walk the path back from node to a source: it alternates demand,
+        # supply, demand, ..., and each supply on it gains flow towards the
+        # demand before it and gives flow up towards the demand after it.
+        j, theta = node - m, demand[node - m]
+        pushes, pulls = [], []
+        while True:
+            i = pred[m + j]
+            pushes.append((i, j))
+            if pred[i] < 0:
+                break
+            j = pred[i] - m
+            pulls.append((i, j))
+            theta = min(theta, into[j][i])
+        source = i
+        theta = min(theta, supply[source])
         for i, j in pushes:
-            flow[i][j] += theta
+            into[j][i] = into[j].get(i, 0) + theta
         for i, j in pulls:
-            flow[i][j] -= theta
-        supply[path[-1]] -= theta
+            into[j][i] -= theta
+            if not into[j][i]:
+                del into[j][i]
+        supply[source] -= theta
         demand[node - m] -= theta
+        if not supply[source]:
+            live.remove(source)
+            start[source] = math.inf
+            for j, i in enumerate(best):
+                if i == source and live:
+                    best[j] = min(live, key=cols[j].__getitem__)
+                    low[j] = cols[j][best[j]]
 
-    plan = [(i, j, Fraction(f, scale)) for i, row in enumerate(flow) for j, f in enumerate(row) if f]
+    plan = [(i, j, Fraction(f, scale)) for j, col in enumerate(into) for i, f in col.items()]
     return plan, _Exact(extra, cost, unit, a, b, den, pot[m:])
 
 
-def _scaled(row: np.ndarray, unit: int) -> list[int]:
-    """A row of float costs times unit, as integers."""
-    return [num * (unit // d) for num, d in map(float.as_integer_ratio, row.tolist())]
+def _ratios(space, z: int, columns: np.ndarray) -> list[tuple[int, int]]:
+    """Row z of the cost table against columns, as exact fractions (num, den)."""
+    return list(map(float.as_integer_ratio, space.dist[z].take(columns).tolist()))
+
+
+def _scaled(row: list[tuple[int, int]], unit: int) -> list[int]:
+    """A row of exact costs times unit, as integers."""
+    return [num * (unit // d) for num, d in row]
 
 
 def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
@@ -244,8 +280,9 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
     with the potential and the duality gap computed in the integers of
     ``exact`` up to one correctly rounded division each (int / int)."""
     columns = np.array(q.support)
-    rows = chain(exact.cost, (_scaled(p.space.dist[z, columns], exact.unit) for z in exact.extra))
-    raw = {z: min(c - vj for c, vj in zip(row, exact.v))
+    rows = chain(exact.cost, (_scaled(_ratios(p.space, z, columns), exact.unit)
+                              for z in exact.extra))
+    raw = {z: min(map(sub, row, exact.v))
            for z, row in zip((*p.support, *exact.extra), rows)}
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}

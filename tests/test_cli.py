@@ -323,7 +323,7 @@ _GOOD_SPACE = {"kind": "matrix", "dist": [[0, 1], [1, 0]]}
 _GOOD_MEASURE = {"support": [1], "weights": [1.0]}
 # The least value of each count option; a lower or non-integer value is an
 # invocation error.
-_COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1}
+_COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1, "--dim": 1, "--size": 1}
 # The caps of the options that size a run; a larger value is refused with
 # invariant.size_cap before the run starts.
 _CAPS = {"--trials": MAX_TRIALS, "--max-points": MAX_RANDOM_POINTS, "--dim": MAX_ALGEBRA_DIM}
@@ -363,9 +363,9 @@ def _has_boolean(data) -> bool:
 
 
 @given(command=st.sampled_from(["auto", "flow", "assignment", "brute", "coupling", "dual",
-                                "sample", "laws", "--trials", "--max-points", "--max-support",
-                                "algebra-check", "--dim", "tuple", "multiset", "rationalize",
-                                "truncate", "study"]),
+                                "sample", "--size", "laws", "--trials", "--max-points",
+                                "--max-support", "algebra-check", "--dim", "tuple", "multiset",
+                                "rationalize", "truncate", "study", "study-trials"]),
        space=_SPACES, p=st.one_of(_MEASURES, _INDICES), q=st.one_of(_MEASURES, _INDICES),
        option=_OPTION)
 @example(command="auto", space=_GOOD_SPACE,
@@ -402,6 +402,9 @@ def _has_boolean(data) -> bool:
          option=str(MAX_ALGEBRA_DIM + 1))
 @example(command="study-trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
          option=str(MAX_TRIALS + 1))
+@example(command="study-trials", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
+@example(command="--dim", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
+@example(command="--size", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, option):
@@ -411,10 +414,10 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     # is refused, and so is an index file that is not a flat array of
     # integers. ``option`` is the value of the one numeric option a command
     # takes from the fuzzer; the commands named after a law-suite count give
-    # it to that count, ``--dim`` to the algebra's dimension and
-    # ``study-trials`` (an example only: the library, not the parser, refuses
-    # a study's trials below 1) to the study's trials. A count below its least
-    # value is refused, and so is a size above its cap.
+    # it to that count, ``--dim`` to the algebra's dimension, ``--size`` to
+    # the sample's size and ``study-trials`` to the study's trials. A count
+    # below its least value is refused by the parser, whatever the
+    # subcommand, and a size above its cap is refused too.
     paths = {}
     for name, data in (("space", space), ("p", p), ("q", q)):
         paths[name] = str(tmp_path / f"{name}.json")
@@ -423,15 +426,17 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     read = [p]
     if command == "sample":
         argv = ["sample", *inputs, "--size", "5", "--seed", option]
+    elif command == "--size":
+        argv = ["sample", *inputs, "--size", option]
     elif command == "laws":
         argv, read = ["laws", "--trials", "1", "--seed", option], []
+    elif command == "--dim":
+        argv, read = ["algebra-check", "--dim", option, "--trials", "1"], []
     elif command in _COUNTS:
         counts = {"--trials": "1", command: option}  # one trial keeps the run short
         argv, read = ["laws", *(text for item in counts.items() for text in item)], []
     elif command == "algebra-check":
         argv, read = ["algebra-check", "--dim", "2", "--trials", option], []
-    elif command == "--dim":
-        argv, read = ["algebra-check", "--dim", option, "--trials", "1"], []
     elif command in ("tuple", "multiset"):
         argv = ["power-dist", "--space", paths["space"], "--a", paths["p"], "--b", paths["q"],
                 "--kind", command]

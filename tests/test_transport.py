@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 
@@ -394,3 +395,45 @@ def test_potential_rows_are_reduced_one_at_a_time():
     assert result.gap <= TAU_SOLVER
     assert result.cost == pytest.approx(first_moment(q, 0), abs=1e-12)
     assert peak < 500_000, peak
+
+
+def _pinned_instances():
+    """48 engine instances: l1, linf and l2 grids, exact weights over 60 and
+    360, float weights, empirical measures of multisets with repeated points,
+    lopsided supports with a Dirac against many points, and a line whose cost
+    table is full of ties."""
+    line = np.arange(24, dtype=float)
+    tied = FiniteMetricSpace(np.abs(line[:, None] - line[None, :]))
+    sizes = ((1, 20), (2, 17), (19, 3), (20, 1))
+    for trial in range(48):
+        rng = rng_from(23, trial)
+        norm = ("l1", "linf", "l2")[trial % 3]
+        space = tied if trial % 8 == 7 else _grid_space(rng, 24, norm)
+        kind = ("exact 60", "exact 360", "float", "empirical")[trial // 3 % 4]
+        m, n = sizes[trial // 6 % 4] if trial % 6 == 5 else rng.integers(2, 14, size=2).tolist()
+
+        def measure(k):
+            support = rng.choice(24, size=k, replace=False).tolist()
+            if kind == "float":
+                w = rng.random(k)
+                return DiscreteMeasure(space, support, (w / w.sum()).tolist())
+            if kind == "empirical":
+                return empirical_sym(MultiSet(space, rng.choice(support, size=2 * k).tolist()))
+            den = int(kind.split()[1])
+            counts = (rng.multinomial(den - k, [1 / k] * k) + 1).tolist()
+            return DiscreteMeasure.from_rational(space, support, counts, den)
+
+        yield measure(m), measure(n)
+
+
+def test_engine_keeps_its_plans_and_duals():
+    # The bits of the engine's plans and right-side duals, ties included: a
+    # change to the order in which it settles nodes or breaks ties, or to
+    # when it sweeps the cost table again, changes this digest.
+    instances = list(_pinned_instances())
+    assert len(instances) == 48
+    digest = hashlib.sha256()
+    for p, q in instances:
+        plan, exact = _transport_plan(p, q)
+        digest.update(repr((sorted(plan), exact.v)).encode())
+    assert digest.hexdigest()[:16] == "a95497fb45a8910d"
