@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _weights, dirac
+from .measures import DiscreteMeasure, _exact_or_float, _weights, dirac
 from .monad import NestedMeasure, expectation
 from .samplers import random_measure, rng_from, simplex_floats, simplex_fractions, sweep
 from .spaces import NORMS, EuclideanSpace, vector_distance
@@ -105,10 +105,10 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
     """Substitute the part vectors into nu: entries nu_i * part_i[j], in order."""
     if len(parts) != len(nu):
         raise ValidationError("invariant.weights", "need one part per outer entry")
-    exact = nu.fractions is not None and all(p.fractions is not None for p in parts)
+    exact = all(part.fractions is not None for part in parts)
     out: list = []
-    for w, part in zip(nu.fractions if exact else nu.entries, parts):
-        out.extend(w * v for v in (part.fractions if exact else part.entries))
+    for w, part in zip(_exact_or_float(nu.fractions if exact else None, nu.entries), parts):
+        out.extend(w * v for v in _exact_or_float(part.fractions, part.entries))
     return SimplexWeights(out)
 
 

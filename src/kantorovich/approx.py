@@ -17,12 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _exact_weights
 from .monad import empirical_sym
 from .power import MultiSet
 from .samplers import RNG_ALGORITHM, rng_from
 from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
-from .transport import _exact_weights, w1_flow, wasserstein1
+from .transport import w1_flow, wasserstein1
 
 __all__ = [
     "ApproximationReport", "rationalize", "truncate_to_ball",
@@ -52,9 +52,9 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     if eps <= 0:
         raise ValidationError("invariant.weights", "epsilon must be positive")
     k = max(1, math.ceil(1 / eps))
-    weights = _exact_weights(p)
+    nums, den = _exact_weights(p)
 
-    rounded = [Fraction(math.floor(w * k), k) for w in weights[:-1]]
+    rounded = [Fraction(num * k // den, k) for num in nums[:-1]]
     rounded.append(1 - sum(rounded, Fraction(0)))
     q = DiscreteMeasure(p.space, list(p.support), rounded)
 
@@ -83,37 +83,40 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
         raise ValidationError("invariant.measure", f"center {center} outside space")
     if radius < 0:
         raise ValidationError("invariant.measure", "radius must be nonnegative")
-    weights = _exact_weights(p)
-    inside: list[tuple[int, Fraction]] = []
-    moved = Fraction(0)
+    nums, den = _exact_weights(p)
+    support: list[int] = []
+    vals: list[Fraction] = []
+    moved = 0  # the outside mass, and its first moment about the center, times den
     formula = Fraction(0)
-    for x, w in zip(p.support, weights):
+    for x, num in zip(p.support, nums):
         if p.space.d(center, x) > radius:
-            moved += w
-            formula += w * Fraction(p.space.d(center, x))
+            moved += num
+            formula += num * Fraction(p.space.d(center, x))
         else:
-            inside.append((x, w))
-
-    support = [x for x, _ in inside]
-    vals = [w for _, w in inside]
+            support.append(x)
+            vals.append(Fraction(num, den))
     if moved > 0:
         support.append(center)
-        vals.append(moved)
+        vals.append(Fraction(moved, den))
     q = DiscreteMeasure(p.space, support, vals)
     error = w1_flow(p, q).cost if moved > 0 else 0.0
     return ApproximationReport(
-        target=p, approximant=q, w1_error=float(error), bound=float(formula),
+        target=p, approximant=q, w1_error=float(error), bound=float(formula / den),
         params={"center": int(center), "radius": float(radius)})
 
 
-def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:
-    """``size`` independent draws from p by inverse CDF over the canonical
-    support order."""
+def _sample_size(size: int) -> int:
     if size <= 0:
         raise ValidationError("invariant.tuple", "sample size must be positive")
     if size > MAX_SAMPLE_SIZE:
         raise ValidationError("invariant.size_cap",
                               f"sample size {size} exceeds cap {MAX_SAMPLE_SIZE}")
+    return size
+
+
+def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:
+    """``size`` independent draws from p by inverse CDF over the canonical
+    support order; the size is checked by the caller."""
     picks = np.searchsorted(np.cumsum(p.weights), rng.random(size), side="right")
     picks = np.minimum(picks, len(p.support) - 1)
     return MultiSet(p.space, [p.support[int(i)] for i in picks])
@@ -122,7 +125,7 @@ def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> Mul
 def sample_empirical(p: DiscreteMeasure, size: int, seed: int = 0) -> MultiSet:
     """Draw an empirical sample of the given size by inverse CDF over the
     canonical support order (generator: numpy PCG64)."""
-    return _inverse_cdf(p, size, rng_from(seed))
+    return _inverse_cdf(p, _sample_size(size), rng_from(seed))
 
 
 def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> list[dict]:
@@ -135,9 +138,9 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
         raise ValidationError("invariant.weights", "trials must be positive")
     if trials > MAX_TRIALS:
         raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
+    sizes = [_sample_size(int(n)) for n in sizes]  # all of them, before the first draw
     rows: list[dict] = []
     for n in sizes:
-        n = int(n)
         values = []
         for t in range(trials):
             sample = _inverse_cdf(p, n, rng_from(seed, n, t))

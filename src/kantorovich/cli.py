@@ -76,7 +76,8 @@ def _option(convert, what: str, accept=lambda value: True):
 _SEED = _option(int, "a nonnegative integer", lambda value: value >= 0)
 _FINITE = _option(float, "a finite number", math.isfinite)
 _SIZES = _option(lambda text: [int(s) for s in text.split(",") if s],
-                 "a comma-separated list of integers")
+                 "a comma-separated list of positive integers",
+                 lambda sizes: sizes and min(sizes) >= 1)
 # Counts: zero trials would check nothing, a space or a sample has at least
 # one point, and the law-suite samplers draw spaces of at least two points
 # and supports of at least one.

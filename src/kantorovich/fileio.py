@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _exact_weights
 from .spaces import EuclideanSpace, FiniteMetricSpace, validate_metric
 
 
@@ -130,9 +130,7 @@ def load_indices(path: str) -> list:
 def measure_to_json(p: DiscreteMeasure) -> dict:
     out: dict = {"support": list(p.support), "weights": [float(w) for w in p.weights]}
     if p.fractions is not None:
-        den = p.denominator
-        out["den"] = den
-        out["num"] = [int(w * den) for w in p.fractions]
+        out["num"], out["den"] = _exact_weights(p)
     return out
 
 

@@ -2,9 +2,9 @@
 
 Weights are stored as floats, but constructors accept exact rationals
 (``int``/``Fraction`` entries, or an explicit numerator/denominator block)
-and keep the exact values alongside the floats. Operations propagate the
-exact block whenever every input carries one, which is what makes the
-monad-law checks downstream come out at literally zero discrepancy.
+and keep the exact values alongside the floats. Each weighted operation has
+one body for both kinds: exact with exact stays exact, which is what makes
+the monad-law checks come out at literally zero, and exact with float is float.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
             raise ValidationError(code, f"{label} {i} is not finite: {w!r}")
         if w < 0:
             raise ValidationError(code, f"{label} {i} is negative: {w!r}")
+    # An exact sum stays exact (its float can overflow).
+    add = sum if exact else math.fsum
     if keys is not None:
         groups: dict = {}
         for key, w in zip(keys, vals):
             groups.setdefault(key, []).append(w)
-        add = sum if exact else math.fsum
         keys, vals = [], []
         for key in sorted(groups, key=order):
             ws = groups[key]
@@ -55,9 +56,8 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
                 keys.append(key)
                 vals.append(w)
         keys = tuple(keys)
-    # An exact sum stays exact (its float can overflow); the != 1 test spares
-    # the usual case the slow comparison of a Fraction with a float.
-    total = sum(vals) if exact else math.fsum(vals)
+    # The != 1 test spares the usual case a slow Fraction-to-float comparison.
+    total = add(vals)
     if total != 1 and abs(total - 1) > TAU_WEIGHT:
         raise ValidationError(code, f"{label}s sum to {total}, not 1")
     weights = np.array([float(w) for w in vals])
@@ -67,6 +67,22 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
     # Equal weights share one Fraction: empirical measures repeat k/N often.
     shared: dict = {}
     return keys, weights, tuple(shared.setdefault(w.as_integer_ratio(), w) for w in vals)
+
+
+def _exact_or_float(fractions, floats):
+    """The weights to compute with: the exact ones if any, else the floats.
+    Coefficients must be floats whenever any part is, so that every product
+    is float(c) * float(w), never float(c * w)."""
+    return floats if fractions is None else fractions
+
+
+def _exact_weights(*measures: DiscreteMeasure) -> tuple[list[int], int]:
+    """The measures' weights, in order, as integers over their least common
+    denominator; a float weight is the binary fraction it stores."""
+    ratios = [w.as_integer_ratio()
+              for p in measures for w in _exact_or_float(p.fractions, p.weights)]
+    den = math.lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
 
 
 class DiscreteMeasure:
@@ -105,7 +121,7 @@ class DiscreteMeasure:
         """Common denominator of the exact weights, None on the float path."""
         if self.fractions is None:
             return None
-        return math.lcm(*(w.denominator for w in self.fractions))
+        return _exact_weights(self)[1]
 
     def weight_of(self, index: int) -> float:
         try:
@@ -123,9 +139,7 @@ class DiscreteMeasure:
 
     def canonical_key(self):
         """Hashable identity used to deduplicate measures in nested rosters."""
-        if self.fractions is not None:
-            return (self.support, self.fractions)
-        return (self.support, tuple(float(w) for w in self.weights))
+        return (self.support, tuple(_exact_or_float(self.fractions, self.weights.tolist())))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{i}:{w:.4g}" for i, w in zip(self.support, self.weights))
@@ -152,8 +166,7 @@ def pushforward(f: Sequence[int] | Callable[[int], int], p: DiscreteMeasure,
         if len(arr) != p.space.n:
             raise ValidationError("invariant.map", f"index map must have length {p.space.n}")
         mapped = [int(arr[i]) for i in p.support]
-    weights = p.fractions if p.fractions is not None else list(p.weights)
-    return DiscreteMeasure(target, mapped, weights)
+    return DiscreteMeasure(target, mapped, _exact_or_float(p.fractions, p.weights))
 
 
 def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
@@ -166,12 +179,11 @@ def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMe
             raise ValidationError("invariant.measure", "mixture components live on different spaces")
     _, floats, fractions = _weights(coeffs, "invariant.weights", "mixture coefficient",
                                     exact=all(m.fractions is not None for m in measures))
-    exact = fractions is not None
     support: list[int] = []
     weights: list = []
-    for c, m in zip(fractions if exact else floats, measures):
+    for c, m in zip(_exact_or_float(fractions, floats), measures):
         support.extend(m.support)
-        weights.extend(c * w for w in (m.fractions if exact else m.weights))
+        weights.extend(c * w for w in _exact_or_float(m.fractions, m.weights))
     return DiscreteMeasure(space, support, weights)
 
 
@@ -190,10 +202,9 @@ def weight_discrepancy(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """
     if not same_space(p.space, q.space):
         return math.inf
-    exact = p.fractions is not None and q.fractions is not None
-    return float(max(abs(p.fraction_of(i) - q.fraction_of(i)) if exact
-                     else abs(p.weight_of(i) - q.weight_of(i))
-                     for i in set(p.support) | set(q.support)))
+    a = dict(zip(p.support, _exact_or_float(p.fractions, p.weights)))
+    b = dict(zip(q.support, _exact_or_float(q.fractions, q.weights)))
+    return float(max(abs(a.get(i, 0) - b.get(i, 0)) for i in a.keys() | b.keys()))
 
 
 def measures_equal(p: DiscreteMeasure, q: DiscreteMeasure,

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import DiscreteMeasure, _weights, dirac, mixture, weight_discrepancy
+from .measures import (DiscreteMeasure, _exact_or_float, _exact_weights, _weights, dirac, mixture,
+                       weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
                        sweep)
@@ -62,11 +63,10 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
     rosters; infinity when the rosters differ as sets."""
     if len(a) != len(b):
         return math.inf
-    exact = a.outer_fractions is not None and b.outer_fractions is not None
     worst = 0.0
     for ma, mb, wa, wb in zip(a.inner, b.inner,
-                              a.outer_fractions if exact else a.outer_weights,
-                              b.outer_fractions if exact else b.outer_weights):
+                              _exact_or_float(a.outer_fractions, a.outer_weights),
+                              _exact_or_float(b.outer_fractions, b.outer_weights)):
         if ma.support != mb.support:
             return math.inf
         worst = max(worst, weight_discrepancy(ma, mb), float(abs(wa - wb)))
@@ -100,14 +100,11 @@ def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiS
     """
     if p.fractions is None:
         raise ValidationError("invariant.measure", "measure has no exact weights")
-    den = p.denominator
+    nums, den = _exact_weights(p)
     n = den if size is None else int(size)
     if n % den != 0:
         raise ValidationError("invariant.measure", f"size {n} is not a multiple of {den}")
-    entries: list[int] = []
-    for x, w in zip(p.support, p.fractions):
-        entries.extend([x] * int(w * n))
-    return MultiSet(p.space, entries)
+    return MultiSet(p.space, [x for x, k in zip(p.support, nums) for _ in range(k * (n // den))])
 
 
 def nested_dirac(p: DiscreteMeasure) -> NestedMeasure:
@@ -123,16 +120,13 @@ def dirac_kernel(space: FiniteMetricSpace) -> Callable[[int], DiscreteMeasure]:
 def kernel_pushforward(kernel: Callable[[int], DiscreteMeasure],
                        p: DiscreteMeasure) -> NestedMeasure:
     """Push p forward along a kernel from points to measures."""
-    inner = [kernel(x) for x in p.support]
-    weights = p.fractions if p.fractions is not None else list(p.weights)
-    return NestedMeasure(p.space, inner, weights)
+    return NestedMeasure(p.space, [kernel(x) for x in p.support],
+                         _exact_or_float(p.fractions, p.weights))
 
 
 def expectation(mu: NestedMeasure) -> DiscreteMeasure:
     """Expected distribution: mix the inner measures by the outer weights."""
-    coeffs = (mu.outer_fractions if mu.outer_fractions is not None
-              else list(mu.outer_weights))
-    return mixture(coeffs, mu.inner)
+    return mixture(_exact_or_float(mu.outer_fractions, mu.outer_weights), mu.inner)
 
 
 def nested_expectation_outer(outer_coeffs: Sequence,
@@ -144,12 +138,11 @@ def nested_expectation_outer(outer_coeffs: Sequence,
     _, floats, fractions = _weights(
         outer_coeffs, "invariant.measure", "outer coefficient",
         exact=all(nu.outer_fractions is not None for nu in nested))
-    exact = fractions is not None
     inner: list[DiscreteMeasure] = []
     weights: list = []
-    for c, nu in zip(fractions if exact else floats, nested):
+    for c, nu in zip(_exact_or_float(fractions, floats), nested):
         inner.extend(nu.inner)
-        weights.extend(c * w for w in (nu.outer_fractions if exact else nu.outer_weights))
+        weights.extend(c * w for w in _exact_or_float(nu.outer_fractions, nu.outer_weights))
     return NestedMeasure(nested[0].space, inner, weights)
 
 

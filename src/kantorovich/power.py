@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .spaces import FiniteMetricSpace, same_space
-from .tolerances import MAX_BRUTE_SIZE
+from .tolerances import MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE
 
 
 def _check_entries(space: FiniteMetricSpace, entries: Sequence[int]) -> tuple[int, ...]:
@@ -78,10 +78,13 @@ def tuple_distance(a: PointTuple, b: PointTuple) -> float:
 def multiset_distance(a: MultiSet, b: MultiSet) -> float:
     """min over relabelings sigma of (1/n) sum_i d(a_i, b_sigma(i)).
 
-    Solved as an optimal assignment on the n x n cost matrix.
+    Solved as an optimal assignment on the n x n cost matrix, n <= MAX_ASSIGNMENT_SIZE.
     """
     _require_compatible(a, b)
     n = len(a)
+    if n > MAX_ASSIGNMENT_SIZE:
+        raise ValidationError("invariant.size_cap",
+                              f"multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
     cost = a.space.dist[np.ix_(a.entries, b.entries)]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / n

@@ -10,11 +10,11 @@ Three primal routes are provided and cross-certified:
                      up to MAX_BRUTE_SIZE; the oracle for the other two.
 
 A solve holds its exact numbers in one format: the weights as integers over
-their common denominator, and the costs from the joint support to q's
-support as integers over one power of two. The engine's node potentials
-are optimal LP duals, and any optimal dual satisfies complementary
-slackness with any optimal plan, so every route reports them. The
-right-side duals v are folded into one 1-Lipschitz function on the joint
+their common denominator, from ``measures``, and the costs from the joint
+support to q's support as integers over one power of two. The engine's node
+potentials are optimal LP duals, and any optimal dual satisfies
+complementary slackness with any optimal plan, so every route reports them.
+The right-side duals v are folded into one 1-Lipschitz function on the joint
 support by the transform f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at
 the first point; that function and the duality gap of the reported plan
 against it are computed in the same integers and divided out at the end.
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _exact_weights
 from .power import MultiSet, multiset_distance_bruteforce
 from .spaces import same_space
 from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
@@ -108,12 +108,6 @@ class TransportResult:
     solver: str
 
 
-def _exact_weights(p: DiscreteMeasure) -> list[Fraction]:
-    if p.fractions is not None:
-        return list(p.fractions)
-    return [Fraction(w) for w in p.weights.tolist()]
-
-
 def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
     if not same_space(p.space, q.space):
         raise ValidationError("invariant.measure", "measures live on different spaces")
@@ -169,10 +163,8 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     if m * n > MAX_SUPPORT_PAIRS:
         raise ValidationError("invariant.size_cap",
                               f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
-    fa, fb = _exact_weights(p), _exact_weights(q)
-    den = math.lcm(*(w.denominator for w in fa + fb))
-    a = [w.numerator * (den // w.denominator) for w in fa]
-    b = [w.numerator * (den // w.denominator) for w in fb]
+    weights, den = _exact_weights(p, q)
+    a, b = weights[:m], weights[m:]
     # Float weights sum to 1 only up to a few ulps, and supply must equal
     # demand exactly: each side is scaled by the other side's sum.
     g = math.gcd(sum(a), sum(b))
@@ -328,9 +320,7 @@ def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
     """Positions in p.support repeated by multiplicity, _expansion_size(p) of them."""
     if p.fractions is None:
         return list(range(len(p.support)))
-    den = p.denominator
-    return [i for i, w in enumerate(p.fractions)
-            for _ in range(w.numerator * (den // w.denominator))]
+    return [i for i, k in enumerate(_exact_weights(p)[0]) for _ in range(k)]
 
 
 def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
@@ -367,7 +357,7 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     _require_same_space(p, q)
     if p.fractions is None or q.fractions is None:
         raise ValidationError("solver.rational_required", "brute force needs exact weights")
-    d = math.lcm(p.denominator, q.denominator)
+    d = _exact_weights(p, q)[1]
     if d > MAX_BRUTE_SIZE:
         raise ValidationError("invariant.size_cap",
                               f"common denominator {d} exceeds cap {MAX_BRUTE_SIZE}")

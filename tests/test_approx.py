@@ -96,3 +96,10 @@ def test_sample_sizes_above_the_cap_are_refused_before_drawing(line4):
         with pytest.raises(ValidationError, match="exceeds cap") as info:
             draw()
         assert info.value.code == "invariant.size_cap"
+
+
+def test_study_sizes_below_one_are_refused(line4):
+    # A negative size once reached the seed stream and escaped as a ValueError.
+    with pytest.raises(ValidationError, match="must be positive") as info:
+        convergence_study(dirac(line4, 1), [-3], trials=2)
+    assert info.value.code == "invariant.tuple"

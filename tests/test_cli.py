@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kantorovich.cli import main
-from kantorovich.tolerances import (MAX_ALGEBRA_DIM, MAX_RANDOM_POINTS, MAX_SAMPLE_SIZE,
-                                    MAX_TRIALS)
+from kantorovich.tolerances import (MAX_ALGEBRA_DIM, MAX_ASSIGNMENT_SIZE, MAX_RANDOM_POINTS,
+                                    MAX_SAMPLE_SIZE, MAX_TRIALS)
 
 CLI = [sys.executable, "-m", "kantorovich.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -279,6 +279,18 @@ def test_solver_reports_keep_their_bytes(fixtures):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, files)
 
 
+def test_power_dist_refuses_multisets_above_the_assignment_cap(fixtures):
+    big = fixtures / "big.json"
+    big.write_text(json.dumps([i % 3 for i in range(MAX_ASSIGNMENT_SIZE + 1)]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["power-dist", "--space", str(fixtures / "space.json"), "--a", str(big),
+                     "--b", str(big), "--kind", "multiset"])
+    assert code == 1
+    assert out.getvalue() == ""
+    assert json.loads(err.getvalue())["error"]["code"] == "invariant.size_cap"
+
+
 def test_usage_errors_exit_one_with_error_json(fixtures):
     # Exit status 2 is reserved for law-suite failures; a bad invocation
     # is a validation failure and must follow the stderr-JSON contract.
@@ -321,9 +333,10 @@ _OPTION = st.one_of(st.integers(-2, 4).map(str),
                     st.sampled_from(["x", "4,x", "3,2", "0.5", "nan", "inf", "-inf"]))
 _GOOD_SPACE = {"kind": "matrix", "dist": [[0, 1], [1, 0]]}
 _GOOD_MEASURE = {"support": [1], "weights": [1.0]}
-# The least value of each count option; a lower or non-integer value is an
-# invocation error.
-_COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1, "--dim": 1, "--size": 1}
+# The least value of each count option, and of each entry of --sizes; a
+# lower or non-integer value, or an empty --sizes, is an invocation error.
+_COUNTS = {"--trials": 1, "--max-points": 2, "--max-support": 1, "--dim": 1, "--size": 1,
+           "--sizes": 1}
 # The caps of the options that size a run; a larger value is refused with
 # invariant.size_cap before the run starts.
 _CAPS = {"--trials": MAX_TRIALS, "--max-points": MAX_RANDOM_POINTS, "--dim": MAX_ALGEBRA_DIM}
@@ -335,11 +348,13 @@ def _is_index_array(data) -> bool:
 
 
 def _below_minimum(argv: list[str]) -> bool:
-    """Whether a count option in ``argv`` is not an integer at its least value."""
+    """Whether a count option in ``argv`` is not an integer at its least value;
+    ``--sizes`` holds a non-empty comma-separated list of such counts."""
     for flag, text in zip(argv, argv[1:]):
         if flag in _COUNTS:
+            counts = [s for s in text.split(",") if s] if flag == "--sizes" else [text]
             try:
-                if int(text) < _COUNTS[flag]:
+                if not counts or min(int(s) for s in counts) < _COUNTS[flag]:
                     return True
             except ValueError:
                 return True
@@ -380,6 +395,7 @@ def _has_boolean(data) -> bool:
 @example(command="laws", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
 @example(command="sample", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
 @example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="4,x")
+@example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="-1")
 @example(command="study", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,
          option=str(MAX_SAMPLE_SIZE + 1))
 @example(command="rationalize", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE,

@@ -1,6 +1,7 @@
 """The package's modules import each other in layers: every import sits at
-module level, the imports between the package's modules form no cycle, and
-no module or test imports a name it does not use."""
+module level, the imports between the package's modules form no cycle, no
+module or test imports a name it does not use, and the private names that
+cross a module boundary are the shared ones below."""
 
 import ast
 import graphlib
@@ -8,6 +9,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kantorovich"
 TESTS = Path(__file__).resolve().parent
+# The weight core of ``measures`` (one check, the exact-or-float choice and
+# the integer view of weights) and the discrepancy helper of ``graded``.
+SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
+                  "graded._discrepancy"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -43,6 +48,14 @@ def test_module_imports_form_no_cycle():
              for module, tree in _modules().items()}
     assert set().union(*graph.values()) <= set(graph)
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+def test_private_names_cross_modules_only_from_the_shared_core():
+    crossing = {f"{node.module}.{alias.name}"
+                for tree in _modules().values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module
+                for alias in node.names if alias.name.startswith("_")}
+    assert crossing == SHARED_PRIVATE
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -103,6 +103,24 @@ def test_weight_discrepancy_exact_and_float(line3):
     assert measures_equal(p, pf, 1e-12)
 
 
+def test_weight_discrepancy_of_exact_against_float_is_a_float_difference(line3):
+    exact = DiscreteMeasure(line3, [0, 1], [Fraction(1, 3), Fraction(2, 3)])
+    floats = DiscreteMeasure(line3, [0, 1], [0.1, 0.9])
+    expected = max(abs(float(Fraction(1, 3)) - 0.1), abs(float(Fraction(2, 3)) - 0.9))
+    # the exact difference rounds to another float
+    assert expected != float(max(abs(Fraction(1, 3) - Fraction(0.1)),
+                                 abs(Fraction(2, 3) - Fraction(0.9))))
+    assert weight_discrepancy(exact, floats) == expected
+    assert weight_discrepancy(floats, exact) == expected
+
+
+def test_exact_weights_within_tolerance_of_one_are_kept_as_given(line3):
+    heavy = Fraction(1, 2) + Fraction(1, 10**15)
+    p = DiscreteMeasure(line3, [0, 2], [heavy, Fraction(1, 2)])
+    assert p.fractions == (heavy, Fraction(1, 2))
+    assert sum(p.fractions) == 1 + Fraction(1, 10**15)
+
+
 @st.composite
 def rational_weights(draw):
     den = draw(st.integers(min_value=1, max_value=20))

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 from kantorovich import (DiscreteMeasure, MultiSet,
-                         NestedMeasure, PointTuple, check_expectation_flatten,
+                         NestedMeasure, PointTuple, SimplexWeights, check_expectation_flatten,
                          check_iota_isometry, check_monad_laws,
                          check_ppx_square, dirac, dirac_kernel, empirical,
                          empirical_sym, expectation, kernel_pushforward,
-                         measures_equal, multiset_from_measure, nested_dirac,
+                         measures_equal, mixture, multiset_from_measure, nested_dirac,
                          nested_expectation_outer, nested_weight_discrepancy,
-                         wasserstein1)
+                         operad_compose, wasserstein1)
 from kantorovich.samplers import (random_measure, random_metric_space,
                                   random_nested_multiset,
                                   rng_from, simplex_fractions)
@@ -51,6 +51,35 @@ def test_nested_measure_dedups_inner_entries(line3):
                        [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
     assert len(mu.inner) == 2
     assert mu.outer_fractions == (Fraction(3, 4), Fraction(1, 4))
+
+
+def test_exact_and_float_copies_of_a_measure_share_one_roster_entry(line3):
+    exact = DiscreteMeasure(line3, [0, 2], [Fraction(1, 2), Fraction(1, 2)])
+    floats = DiscreteMeasure(line3, [0, 2], [0.5, 0.5])
+    mu = NestedMeasure(line3, [exact, floats], [Fraction(1, 2), Fraction(1, 2)])
+    assert len(mu) == 1
+    assert mu.outer_weights.tolist() == [1.0]
+    assert mu.outer_fractions is None
+
+
+def test_exact_coefficients_with_a_float_part_multiply_in_floats(line3):
+    # Every product is float(c) * float(w), which here differs from float(c * w).
+    c, w = Fraction(1, 3), Fraction(3, 5)
+    product = float(c) * float(w)
+    assert product != float(c * w)
+    floats = DiscreteMeasure(line3, [2], [1.0])
+    mixed = mixture([c, 1 - c], [DiscreteMeasure(line3, [0, 1], [w, 1 - w]), floats])
+    assert mixed.fractions is None
+    assert mixed.weight_of(0) == product
+    outer = nested_expectation_outer(
+        [c, 1 - c], [NestedMeasure(line3, [dirac(line3, 0), dirac(line3, 1)], [w, 1 - w]),
+                     NestedMeasure(line3, [floats], [1.0])])
+    assert outer.outer_fractions is None
+    assert outer.outer_weights[0] == product
+    composed = operad_compose(SimplexWeights([c, 1 - c]),
+                              [SimplexWeights([w, 1 - w]), SimplexWeights([1.0])])
+    assert composed.fractions is None
+    assert composed.entries[0] == product
 
 
 def test_expectation_mixes(line3):

@@ -9,6 +9,7 @@ from kantorovich import (FinUnifMap, MultiSet, PointTuple,
                          multiset_distance_bruteforce, precompose, quotient,
                          repeat_embedding, tuple_distance, validate_finunif)
 from kantorovich.samplers import random_finunif, random_metric_space, rng_from
+from kantorovich.tolerances import MAX_ASSIGNMENT_SIZE
 
 
 def test_tuple_distance_is_average(line3):
@@ -32,6 +33,14 @@ def test_multiset_distance_hand_value(line4):
     b = MultiSet(line4, [2, 3])
     assert multiset_distance(a, b) == pytest.approx(4.5)
     assert multiset_distance_bruteforce(a, b) == pytest.approx(4.5)
+
+
+def test_multiset_distance_refuses_sizes_above_the_assignment_cap(line3):
+    # n entries cost an n x n table and an O(n^3) assignment.
+    big = MultiSet(line3, [i % 3 for i in range(MAX_ASSIGNMENT_SIZE + 1)])
+    with pytest.raises(ValidationError, match="exceeds cap") as info:
+        multiset_distance(big, big)
+    assert info.value.code == "invariant.size_cap"
 
 
 def test_quotient_is_short(line3):
