@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _exact_or_float, _weights, dirac
+from .measures import DiscreteMeasure, _compose, _weights, dirac
 from .monad import NestedMeasure, expectation
-from .samplers import random_measure, rng_from, simplex_floats, simplex_fractions, sweep
+from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
+                       simplex_fractions, sweep)
 from .spaces import NORMS, EuclideanSpace, vector_distance
 from .tolerances import MAX_ALGEBRA_DIM
 
@@ -105,28 +106,13 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
     """Substitute the part vectors into nu: entries nu_i * part_i[j], in order."""
     if len(parts) != len(nu):
         raise ValidationError("invariant.weights", "need one part per outer entry")
-    exact = all(part.fractions is not None for part in parts)
-    out: list = []
-    for w, part in zip(_exact_or_float(nu.fractions if exact else None, nu.entries), parts):
-        out.extend(w * v for v in _exact_or_float(part.fractions, part.entries))
-    return SimplexWeights(out)
+    return SimplexWeights(_compose(nu.fractions or nu.entries,
+                                   [(part.fractions, part.entries) for part in parts],
+                                   "invariant.weights", "weight"))
 
 
 # ---------------------------------------------------------------------------
 # law checks
-
-
-def _random_points(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
-    """Distinct random carrier points with single-digit coordinates."""
-    seen: set[tuple[float, ...]] = set()
-    out: list[list[float]] = []
-    while len(out) < k:
-        cand = np.round(rng.uniform(-8.0, 8.0, size=dim), 3)
-        key = tuple(float(v) for v in cand)
-        if key not in seen:
-            seen.add(key)
-            out.append([float(v) for v in cand])
-    return np.array(out)
 
 
 def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> dict[str, float]:
@@ -202,7 +188,8 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
 
     def trial(rng) -> tuple[float, float, float, float, float]:
         k = int(rng.integers(2, 7))
-        points = _random_points(rng, k, algebra.dim)
+        points = np.array(distinct_points(
+            k, lambda: tuple(np.round(rng.uniform(-8.0, 8.0, size=algebra.dim), 3).tolist())))
         space = EuclideanSpace(points, algebra.norm).to_metric()
 
         i = int(rng.integers(0, k))

@@ -59,10 +59,7 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     q = DiscreteMeasure(p.space, list(p.support), rounded)
 
     n = len(p.support)
-    diam = 0.0
-    for a in p.support:
-        for b in p.support:
-            diam = max(diam, p.space.d(a, b))
+    diam = float(np.max(p.space.dist[np.ix_(p.support, p.support)], initial=0.0))
     bound = Fraction(n - 1) * eps * Fraction(diam)
     error = 0.0 if n == 1 else w1_flow(p, q).cost
     return ApproximationReport(
@@ -81,7 +78,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
     """
     if center < 0 or center >= p.space.n:
         raise ValidationError("invariant.measure", f"center {center} outside space")
-    if radius < 0:
+    if not radius >= 0:  # NaN too
         raise ValidationError("invariant.measure", "radius must be nonnegative")
     nums, den = _exact_weights(p)
     support: list[int] = []
@@ -139,6 +136,12 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
     if trials > MAX_TRIALS:
         raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
     sizes = [_sample_size(int(n)) for n in sizes]  # all of them, before the first draw
+    if trials * sum(sizes) > MAX_SAMPLE_SIZE:
+        raise ValidationError("invariant.size_cap", f"{trials} trials of sizes {sizes} draw "
+                              f"{trials * sum(sizes)} points, over cap {MAX_SAMPLE_SIZE}")
+    if trials * len(sizes) > MAX_TRIALS:
+        raise ValidationError("invariant.size_cap", f"{trials} trials of {len(sizes)} sizes "
+                              f"run {trials * len(sizes)} solves, over cap {MAX_TRIALS}")
     rows: list[dict] = []
     for n in sizes:
         values = []

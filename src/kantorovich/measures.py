@@ -76,6 +76,19 @@ def _exact_or_float(fractions, floats):
     return floats if fractions is None else fractions
 
 
+def _compose(coeffs: Sequence, parts: Sequence[tuple], code: str, label: str) -> list:
+    """Convex composition: each part's weights times its coefficient, in order.
+
+    ``parts`` are (fractions, floats) pairs. The coefficients stay exact only
+    when every part is exact, so that each product is exact or
+    float(c) * float(w); bad coefficients raise ValidationError(code).
+    """
+    _, floats, fractions = _weights(coeffs, code, label,
+                                    exact=all(part[0] is not None for part in parts))
+    return [c * w for c, part in zip(_exact_or_float(fractions, floats), parts)
+            for w in _exact_or_float(*part)]
+
+
 def _exact_weights(*measures: DiscreteMeasure) -> tuple[list[int], int]:
     """The measures' weights, in order, as integers over their least common
     denominator; a float weight is the binary fraction it stores."""
@@ -177,14 +190,9 @@ def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure]) -> DiscreteMe
     for m in measures[1:]:
         if not same_space(space, m.space):
             raise ValidationError("invariant.measure", "mixture components live on different spaces")
-    _, floats, fractions = _weights(coeffs, "invariant.weights", "mixture coefficient",
-                                    exact=all(m.fractions is not None for m in measures))
-    support: list[int] = []
-    weights: list = []
-    for c, m in zip(_exact_or_float(fractions, floats), measures):
-        support.extend(m.support)
-        weights.extend(c * w for w in _exact_or_float(m.fractions, m.weights))
-    return DiscreteMeasure(space, support, weights)
+    weights = _compose(coeffs, [(m.fractions, m.weights) for m in measures],
+                       "invariant.weights", "mixture coefficient")
+    return DiscreteMeasure(space, [i for m in measures for i in m.support], weights)
 
 
 def first_moment(p: DiscreteMeasure, x0: int) -> float:

@@ -9,13 +9,14 @@ discrepancies (exactly 0.0 on the rational path).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import (DiscreteMeasure, _exact_or_float, _exact_weights, _weights, dirac, mixture,
-                       weight_discrepancy)
+from .measures import (DiscreteMeasure, _compose, _exact_or_float, _exact_weights, _weights, dirac,
+                       mixture, weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
                        sweep)
@@ -79,12 +80,8 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
 
 def empirical(t: PointTuple) -> DiscreteMeasure:
     """Uniform measure of an ordered sample; weights are exact k/n."""
-    n = len(t)
-    counts: dict[int, int] = {}
-    for x in t.entries:
-        counts[x] = counts.get(x, 0) + 1
-    supp = sorted(counts)
-    return DiscreteMeasure(t.space, supp, [Fraction(counts[x], n) for x in supp])
+    counts = Counter(t.entries)
+    return DiscreteMeasure.from_rational(t.space, list(counts), list(counts.values()), len(t))
 
 
 def empirical_sym(ms: MultiSet) -> DiscreteMeasure:
@@ -135,15 +132,9 @@ def nested_expectation_outer(outer_coeffs: Sequence,
     innermost layer untouched."""
     if len(outer_coeffs) != len(nested) or not nested:
         raise ValidationError("invariant.measure", "need one coefficient per nested measure")
-    _, floats, fractions = _weights(
-        outer_coeffs, "invariant.measure", "outer coefficient",
-        exact=all(nu.outer_fractions is not None for nu in nested))
-    inner: list[DiscreteMeasure] = []
-    weights: list = []
-    for c, nu in zip(_exact_or_float(fractions, floats), nested):
-        inner.extend(nu.inner)
-        weights.extend(c * w for w in _exact_or_float(nu.outer_fractions, nu.outer_weights))
-    return NestedMeasure(nested[0].space, inner, weights)
+    weights = _compose(outer_coeffs, [(nu.outer_fractions, nu.outer_weights) for nu in nested],
+                       "invariant.measure", "outer coefficient")
+    return NestedMeasure(nested[0].space, [m for nu in nested for m in nu.inner], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +185,7 @@ def check_ppx_square(nms: NestedMultiSet) -> bool:
     """
     right_down = _ppx_image(nms)
 
-    counts: dict[MultiSet, int] = {}
-    for s in nms.inners:
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(nms.inners)
     n = nms.outer
     down_right = NestedMeasure(
         nms.space,

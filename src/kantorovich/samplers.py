@@ -42,6 +42,15 @@ def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
     return worst
 
 
+def distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
+    """The first ``k`` distinct values of repeated ``draw()`` calls, in the
+    order they were first drawn."""
+    points: dict[tuple, None] = {}
+    while len(points) < k:
+        points.setdefault(draw())
+    return list(points)
+
+
 def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
     """Random integer distance table (raw entries 1..9), closed under shortest paths."""
     n = int(n_points)
@@ -63,13 +72,7 @@ def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
                               f"{n_points} points exceed the {dim}-dimensional grid")
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
-    seen: set[tuple[int, ...]] = set()
-    points: list[tuple[int, ...]] = []
-    while len(points) < n_points:
-        cand = tuple(int(v) for v in rng.integers(-8, 9, size=dim))
-        if cand not in seen:
-            seen.add(cand)
-            points.append(cand)
+    points = distinct_points(n_points, lambda: tuple(rng.integers(-8, 9, size=dim).tolist()))
     return EuclideanSpace(np.array(points, dtype=float), norm).to_metric()
 
 

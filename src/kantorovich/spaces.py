@@ -72,12 +72,16 @@ def vector_distance(u, v, norm: str) -> float:
     """Distance between two coordinate vectors under a named norm."""
     if norm not in NORMS:
         raise ValidationError("invariant.space", f"unknown norm {norm!r}")
-    diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
+    return float(_norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float), norm))
+
+
+def _norm(diff: np.ndarray, norm: str):
+    """The named norm of ``diff`` over its last axis; 0 on an empty axis."""
     if norm == "l1":
-        return float(np.sum(np.abs(diff)))
+        return np.sum(np.abs(diff), axis=-1)
     if norm == "l2":
-        return float(np.sqrt(np.sum(diff * diff)))
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    return np.max(np.abs(diff), axis=-1, initial=0.0)
 
 
 class EuclideanSpace:
@@ -107,13 +111,7 @@ class EuclideanSpace:
 
     def to_metric(self) -> FiniteMetricSpace:
         """Induced distance table, with coordinates attached."""
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        if self.norm == "l1":
-            table = np.sum(np.abs(diff), axis=2)
-        elif self.norm == "l2":
-            table = np.sqrt(np.sum(diff * diff, axis=2))
-        else:
-            table = np.max(np.abs(diff), axis=2)
+        table = _norm(self.points[:, None, :] - self.points[None, :, :], self.norm)
         return FiniteMetricSpace(table, pseudometric_ok=False, coords=self.points)
 
     def __repr__(self) -> str:

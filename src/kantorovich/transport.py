@@ -48,7 +48,7 @@ from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SI
 SOLVERS = ("auto", "assignment", "flow", "brute")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Coupling:
     """A joint measure with prescribed marginals, as a support matrix.
 
@@ -80,7 +80,7 @@ class Coupling:
         return dense
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DualPotential:
     """A function on the joint support, 1-Lipschitz within tau_metric.
 
@@ -99,7 +99,7 @@ class DualPotential:
         return float(self.values[self.points.index(index)])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TransportResult:
     cost: float
     coupling: Coupling

@@ -1,10 +1,10 @@
 import pytest
 
-from kantorovich import (DiscreteMeasure, ValidationError, convergence_study,
+from kantorovich import (DiscreteMeasure, ValidationError, approx, convergence_study,
                          dirac, empirical_sym, rationalize, sample_empirical,
                          truncate_to_ball, wasserstein1)
 from kantorovich.samplers import random_measure, random_metric_space, rng_from
-from kantorovich.tolerances import MAX_SAMPLE_SIZE
+from kantorovich.tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 
 
 def test_rationalize_error_within_bound(line4):
@@ -46,6 +46,18 @@ def test_truncate_noop_inside_ball(line4):
     report = truncate_to_ball(p, 0, 1.0)
     assert report.w1_error == 0.0
     assert report.bound == 0.0
+
+
+def test_truncate_refuses_a_radius_that_is_not_nonnegative(line4):
+    # NaN fails every comparison, so a `radius < 0` test alone lets it through.
+    p = DiscreteMeasure.from_rational(line4, [0, 3], [1, 1], 2)
+    for radius in (-1.0, float("nan")):
+        with pytest.raises(ValidationError, match="radius must be nonnegative") as info:
+            truncate_to_ball(p, 0, radius)
+        assert info.value.code == "invariant.measure"
+    report = truncate_to_ball(p, 0, float("inf"))
+    assert report.approximant.support == p.support
+    assert report.w1_error == 0.0 and report.bound == 0.0
 
 
 def test_truncate_random_formula_equals_solver():
@@ -103,3 +115,20 @@ def test_study_sizes_below_one_are_refused(line4):
     with pytest.raises(ValidationError, match="must be positive") as info:
         convergence_study(dirac(line4, 1), [-3], trials=2)
     assert info.value.code == "invariant.tuple"
+
+
+@pytest.mark.parametrize("sizes, trials, message", [
+    ([MAX_SAMPLE_SIZE // 2, MAX_SAMPLE_SIZE // 2], 2, "points, over cap"),
+    ([MAX_SAMPLE_SIZE], 2, "points, over cap"),
+    ([1, 2, 3], MAX_TRIALS // 2, "solves, over cap"),
+])
+def test_study_work_above_its_caps_is_refused_before_drawing(line4, monkeypatch, sizes, trials,
+                                                             message):
+    # Each factor is within its cap; their product is not.
+    def no_draws(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(approx, "_inverse_cdf", no_draws)
+    with pytest.raises(ValidationError, match=message) as info:
+        convergence_study(dirac(line4, 1), sizes, trials=trials)
+    assert info.value.code == "invariant.size_cap"

@@ -4,7 +4,8 @@ import pytest
 
 from kantorovich import (ConvexAlgebra, LawResult, ValidationError, convergence_study, dirac,
                          run_law_suite)
-from kantorovich.samplers import random_euclidean_space, random_space, rng_from, sweep
+from kantorovich.samplers import (distinct_points, random_euclidean_space, random_space,
+                                  rng_from, sweep)
 from kantorovich.tolerances import MAX_ALGEBRA_DIM, MAX_RANDOM_POINTS, MAX_TRIALS
 
 EXPECTED_LAWS = {
@@ -60,6 +61,15 @@ def test_sweep_keeps_the_worst_of_each_name_in_order():
     worst = sweep(2, rng_from(0), ("b", "a", "c"), lambda rng: next(values))
     assert list(worst.items()) == [("b", 0.5), ("a", 2.0), ("c", 0.0)]
     assert sweep(0, rng_from(0), ("b", "a"), lambda rng: 1 / 0) == {"b": 0.0, "a": 0.0}
+
+
+def test_distinct_points_keeps_first_draws_in_order():
+    draws = iter([(1,), (2,), (1,), (0,), (2,), (3,)])
+    assert distinct_points(3, lambda: next(draws)) == [(1,), (2,), (0,)]
+    assert next(draws) == (2,)  # no draw past the k-th distinct value
+    # -0.0 and 0.0 are one point; the first drawn is kept
+    draws = iter([(-0.0,), (0.0,), (1.0,)])
+    assert [str(v) for (v,) in distinct_points(2, lambda: next(draws))] == ["-0.0", "1.0"]
 
 
 _ABOVE_CAPS = {

@@ -9,10 +9,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kantorovich"
 TESTS = Path(__file__).resolve().parent
-# The weight core of ``measures`` (one check, the exact-or-float choice and
-# the integer view of weights) and the discrepancy helper of ``graded``.
+# The weight core of ``measures`` (one check, the exact-or-float choice, the
+# integer view of weights and convex composition) and the discrepancy helper
+# of ``graded``.
 SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
-                  "graded._discrepancy"}
+                  "measures._compose", "graded._discrepancy"}
 
 
 def _modules() -> dict[str, ast.Module]:

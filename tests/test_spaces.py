@@ -82,6 +82,19 @@ def test_euclidean_space_to_metric():
     assert space.coords is not None and space.coords.shape == (3, 2)
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_table_and_vector_distance_agree_bit_for_bit(norm):
+    rng = rng_from(61)
+    for dim in range(1, 13):
+        points = rng.uniform(-8.0, 8.0, size=(6, dim))
+        table = EuclideanSpace(points, norm).to_metric().dist
+        for i in range(6):
+            for j in range(6):
+                assert table[i, j] == vector_distance(points[i], points[j], norm)
+    # points of dimension 0 all coincide, under every norm
+    assert EuclideanSpace(np.zeros((3, 0)), norm).to_metric().dist.tolist() == [[0.0] * 3] * 3
+
+
 def test_tensor_product_additive(line3):
     prod = tensor_product(line3, line3)
     assert prod.n == 9

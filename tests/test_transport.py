@@ -313,6 +313,18 @@ def test_routes_refuse_what_they_cannot_do(line4, monkeypatch, case):
     assert info.value.code == code
 
 
+def test_results_compare_and_hash_by_identity(half_half, quarter_three):
+    # Field-wise equality would compare numpy arrays and raise.
+    result = w1_flow(half_half, quarter_three)
+    again = w1_flow(half_half, quarter_three)
+    assert (result == again) is False
+    assert result == result
+    for a, b in ((result, again), (result.coupling, again.coupling), (result.dual, again.dual)):
+        assert a != b
+        assert hash(a) == hash(a)
+    assert len({result, again, result.coupling, result.dual}) == 4
+
+
 def test_results_keep_only_the_nonzero_plan():
     rng = rng_from(18, 0)
     space = _grid_space(rng, 80, "l1")
