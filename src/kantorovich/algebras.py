@@ -41,8 +41,15 @@ class ConvexAlgebra:
         self.dim = int(dim)
         self.norm = norm
 
+    def _points(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Two points of the carrier as float arrays of shape (dim,)."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape != (self.dim,) or y.shape != (self.dim,):
+            raise ValidationError("invariant.algebra", "point dimension mismatch")
+        return x, y
+
     def distance(self, x, y) -> float:
-        return vector_distance(x, y, self.norm)
+        return vector_distance(*self._points(x, y), self.norm)
 
     def __repr__(self) -> str:
         return f"ConvexAlgebra(dim={self.dim}, norm={self.norm!r})"
@@ -74,10 +81,7 @@ def c_lambda(algebra: ConvexAlgebra, lam: float, x, y) -> np.ndarray:
     lam = float(lam)
     if lam < 0.0 or lam > 1.0:
         raise ValidationError("invariant.weights", f"lambda {lam!r} outside [0, 1]")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (algebra.dim,) or y.shape != (algebra.dim,):
-        raise ValidationError("invariant.algebra", "point dimension mismatch")
+    x, y = algebra._points(x, y)
     return lam * x + (1.0 - lam) * y
 
 

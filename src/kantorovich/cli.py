@@ -40,21 +40,13 @@ def _digests(args, *names: str) -> dict:
     return {name: sha256_file(getattr(args, name)) for name in names}
 
 
-def _fail(exc: KantorovichError) -> int:
-    sys.stderr.write(dump_canonical({"error": {"code": exc.code, "message": exc.message}}))
-    return 1
-
-
 class _Parser(argparse.ArgumentParser):
-    """Invocation errors follow the same contract as every other
-    validation failure: error JSON on stderr, exit status 1.  Exit
-    status 2 stays reserved for law-suite failures."""
+    """Invocation errors are cli.arguments errors, which ``main`` reports
+    like every other validation failure: error JSON on stderr, exit status
+    1. Exit status 2 stays reserved for law-suite failures."""
 
     def error(self, message: str) -> None:  # noqa: D401 (argparse hook)
-        sys.stderr.write(dump_canonical(
-            {"error": {"code": "cli.arguments",
-                       "message": f"{self.prog}: {message}"}}))
-        raise SystemExit(1)
+        raise KantorovichError("cli.arguments", f"{self.prog}: {message}")
 
 
 def _option(convert, what: str, accept=lambda value: True):
@@ -318,11 +310,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except KantorovichError as exc:
-        return _fail(exc)
+        sys.stderr.write(dump_canonical({"error": {"code": exc.code, "message": exc.message}}))
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,34 +17,32 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .measures import DiscreteMeasure, _exact_weights
-from .spaces import EuclideanSpace, FiniteMetricSpace, validate_metric
+from .spaces import EuclideanSpace, FiniteMetricSpace, _check_table_cap, validate_metric
 
 
 def sha256_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _read_text(path: str) -> str:
+def _parse(path: str, code: str, build):
+    """``build(text)`` on the file at ``path`` read as UTF-8; malformed content
+    is ParseError(code) naming the path and the reason, and a KantorovichError
+    from ``build`` (an invariant violation) passes unchanged."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError("io.not_found", f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path: str, code: str):
-    text = _read_text(path)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(code, f"{path} is not valid JSON: {exc}") from exc
+        return build(data.decode("utf-8"))
+    except (ValueError, TypeError, KeyError, RecursionError, OverflowError,
+            ZeroDivisionError) as exc:
+        raise ParseError(code, f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def load_space(path: str, tau_metric: float | None = None) -> FiniteMetricSpace:
     """Read a space file (.json or .csv) and check the metric axioms."""
-    if path.endswith(".csv"):
-        space = _space_from_csv(path)
-    else:
-        space = _space_from_json(path)
+    space = _parse(path, "parse.space",
+                   _space_from_csv if path.endswith(".csv") else _space_from_json)
     if tau_metric is not None:
         violations = validate_metric(space, tau_metric)
         if violations:
@@ -55,34 +53,30 @@ def load_space(path: str, tau_metric: float | None = None) -> FiniteMetricSpace:
     return space
 
 
-def _space_from_csv(path: str) -> FiniteMetricSpace:
-    rows = []
-    for line in _read_text(path).strip().splitlines():
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ParseError("parse.space", f"{path}: non-numeric cell ({exc})") from exc
+def _space_from_csv(text: str) -> FiniteMetricSpace:
+    lines = [line for line in text.splitlines() if line.strip()]
+    _check_table_cap(len(lines))
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
     if not rows or any(len(r) != len(rows) for r in rows):
-        raise ParseError("parse.space", f"{path}: CSV grid is not square")
+        raise ValueError("CSV grid is not square")
     return FiniteMetricSpace(rows)
 
 
-def _space_from_json(path: str) -> FiniteMetricSpace:
-    data = _read_json(path, "parse.space")
+def _space_from_json(text: str) -> FiniteMetricSpace:
+    data = json.loads(text)
     if not isinstance(data, dict) or "kind" not in data:
-        raise ParseError("parse.space", f"{path}: expected an object with a 'kind' field")
+        raise TypeError("expected an object with a 'kind' field")
     kind = data["kind"]
-    try:
-        if kind == "matrix":
-            return FiniteMetricSpace(data["dist"],
-                                     pseudometric_ok=bool(data.get("pseudometric_ok", False)))
-        if kind == "euclidean":
-            return EuclideanSpace(data["points"], data.get("norm", "l2")).to_metric()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("parse.space", f"{path}: malformed {kind} space: {exc}") from exc
-    raise ParseError("parse.space", f"{path}: unknown space kind {kind!r}")
+    if kind not in ("matrix", "euclidean"):
+        raise ValueError(f"unknown space kind {kind!r}")
+    rows = data["dist" if kind == "matrix" else "points"]
+    _check_table_cap(len(rows))
+    if kind == "euclidean":
+        return EuclideanSpace(rows, data.get("norm", "l2")).to_metric()
+    pseudometric_ok = data.get("pseudometric_ok", False)
+    if not isinstance(pseudometric_ok, bool):
+        raise TypeError(f"pseudometric_ok must be true or false, not {pseudometric_ok!r}")
+    return FiniteMetricSpace(rows, pseudometric_ok=pseudometric_ok)
 
 
 def _number(value, kind: type):
@@ -97,34 +91,33 @@ def _number(value, kind: type):
 
 def load_measure(path: str, space: FiniteMetricSpace) -> DiscreteMeasure:
     """Read a measure file; an exact {den, num} block beats float weights."""
-    data = _read_json(path, "parse.measure")
-    if not isinstance(data, dict) or "support" not in data:
-        raise ParseError("parse.measure", f"{path}: expected an object with a 'support' field")
-    support = data["support"]
-    if not isinstance(support, list):
-        raise ParseError("parse.measure", f"{path}: support must be an array")
-    try:
+    def build(text: str) -> DiscreteMeasure:
+        data = json.loads(text)
+        if not isinstance(data, dict) or "support" not in data:
+            raise TypeError("expected an object with a 'support' field")
+        support = data["support"]
+        if not isinstance(support, list):
+            raise TypeError("support must be an array")
         if "den" in data or "num" in data:
             den = _number(data["den"], int)
             weights = [Fraction(_number(v, int), den) for v in data["num"]]
         else:
             weights = [_number(v, float) for v in data["weights"]]
         return DiscreteMeasure(space, [_number(i, int) for i in support], weights)
-    except ValidationError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ParseError("parse.measure", f"{path}: malformed measure: {exc}") from exc
+
+    return _parse(path, "parse.measure", build)
 
 
 def load_indices(path: str) -> list:
     """Read a non-empty JSON array of integer point indices (a tuple or multiset)."""
-    data = _read_json(path, "parse.indices")
+    return _parse(path, "parse.indices", _indices_from_json)
+
+
+def _indices_from_json(text: str) -> list:
+    data = json.loads(text)
     if not isinstance(data, list) or not data:
-        raise ParseError("parse.indices", f"{path}: expected a non-empty JSON array")
-    try:
-        return [_number(v, int) for v in data]
-    except TypeError as exc:
-        raise ParseError("parse.indices", f"{path}: {exc}") from exc
+        raise TypeError("expected a non-empty JSON array")
+    return [_number(v, int) for v in data]
 
 
 def measure_to_json(p: DiscreteMeasure) -> dict:

@@ -157,7 +157,7 @@ def validate_finunif(assignment: Sequence[int], codomain_size: int | None = None
     if not values:
         return False
     size = codomain_size if codomain_size is not None else max(values) + 1
-    if len(values) % size != 0:
+    if size <= 0 or len(values) % size != 0:
         return False
     fiber = len(values) // size
     counts = [0] * size

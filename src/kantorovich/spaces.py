@@ -7,6 +7,7 @@ read points back off the space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -72,7 +73,11 @@ def vector_distance(u, v, norm: str) -> float:
     """Distance between two coordinate vectors under a named norm."""
     if norm not in NORMS:
         raise ValidationError("invariant.space", f"unknown norm {norm!r}")
-    return float(_norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float), norm))
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise ValidationError("invariant.space",
+                              f"vectors of different shapes {u.shape} and {v.shape}")
+    return float(_norm(u - v, norm))
 
 
 def _norm(diff: np.ndarray, norm: str):
@@ -180,7 +185,7 @@ def _check_table_cap(n_points: int) -> None:
     if n_points * n_points > MAX_TABLE_ENTRIES:
         raise ValidationError(
             "invariant.size_cap",
-            f"product carrier of {n_points} points needs {n_points * n_points} table entries"
+            f"a space of {n_points} points needs {n_points * n_points} table entries"
             f" (cap {MAX_TABLE_ENTRIES})",
         )
 
@@ -213,7 +218,7 @@ def convex_combination_space(lam: Sequence[float],
         raise ValidationError("invariant.weights", "weights must sum to 1")
 
     sizes = [s.n for s in spaces]
-    n = int(np.prod(sizes))
+    n = math.prod(sizes)
     _check_table_cap(n)
 
     table = np.zeros((n, n))

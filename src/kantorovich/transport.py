@@ -84,7 +84,7 @@ class Coupling:
 class DualPotential:
     """A function on the joint support, 1-Lipschitz within tau_metric.
 
-    ``values`` is a read-only float array aligned with ``points``.
+    ``values`` is a read-only array of finite floats aligned with ``points``.
     """
 
     points: tuple[int, ...]
@@ -92,6 +92,9 @@ class DualPotential:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.points),) or not np.isfinite(values).all():
+            raise ValidationError("invariant.dual",
+                                  "potential needs one finite value per point")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -24,6 +24,15 @@ def test_c_lambda_convention_and_range():
         c_lambda(alg, 0.5, x, np.array([0.0, 0.0, 0.0]))
 
 
+def test_distance_refuses_points_outside_the_carrier():
+    alg = ConvexAlgebra(2, "l2")
+    assert alg.distance([0, 0], [3, 4]) == 5.0
+    for x, y in (([0, 0, 0], [3, 4, 0]), ([0, 0], [3]), ([[0, 0]], [3, 4])):
+        with pytest.raises(ValidationError, match="dimension") as info:
+            alg.distance(x, y)
+        assert info.value.code == "invariant.algebra"
+
+
 def test_barycenter_hand_value():
     alg = ConvexAlgebra(2, "l2")
     space = EuclideanSpace([[0.0, 0.0], [4.0, 0.0], [0.0, 8.0]], "l2").to_metric()

@@ -88,6 +88,14 @@ def test_finunif_validation():
         FinUnifMap([0, 0, 0, 1], 2)
 
 
+def test_finunif_refuses_an_empty_codomain():
+    assert not validate_finunif([0, 0], 0)
+    assert not validate_finunif([-1])  # codomain size max + 1 = 0
+    with pytest.raises(ValidationError) as info:
+        FinUnifMap([0, 0], 0)
+    assert info.value.code == "invariant.finunif"
+
+
 def test_precompose_isometric(line3):
     phi = FinUnifMap([0, 1, 0, 1], 2)
     a = PointTuple(line3, [0, 2])

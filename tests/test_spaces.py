@@ -74,6 +74,14 @@ def test_vector_distance_norms():
         vector_distance(u, v, "l3")
 
 
+def test_vector_distance_refuses_operands_of_different_shapes():
+    # numpy would broadcast [1] against [0, 0, 0] and return 3.0.
+    for u, v in (([0, 0, 0], [1]), ([[0, 0]], [0, 0])):
+        with pytest.raises(ValidationError, match="different shapes") as info:
+            vector_distance(u, v, "l1")
+        assert info.value.code == "invariant.space"
+
+
 def test_euclidean_space_to_metric():
     space = EuclideanSpace([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]], "l2").to_metric()
     assert space.d(0, 1) == 5.0
@@ -128,6 +136,14 @@ def test_convex_combination_space_refuses_bad_weights(line3, line4, lam, message
     with pytest.raises(ValidationError, match=message) as info:
         convex_combination_space(lam, [line3, line4])
     assert info.value.code == "invariant.weights"
+
+
+def test_convex_combination_space_counts_its_points_exactly():
+    # 2**64 points, which an int64 product wraps around to 0.
+    two = FiniteMetricSpace([[0, 1], [1, 0]])
+    with pytest.raises(ValidationError, match=f"{2 ** 64} points") as info:
+        convex_combination_space([1 / 64] * 64, [two] * 64)
+    assert info.value.code == "invariant.size_cap"
 
 
 def test_short_and_isometric_maps(line3, line4):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpace,
-                         FiniteMetricSpace, MultiSet, ValidationError,
-                         bistochastic_min, coupling_cost, dirac, empirical_sym,
+                         FiniteMetricSpace, MultiSet, PointTuple, ValidationError,
+                         bistochastic_min, coupling_cost, dirac, empirical, empirical_sym,
                          first_moment, mixture, multiset_distance_bruteforce,
                          transport, validate_coupling, w1_assignment,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
@@ -74,6 +75,16 @@ def test_dual_value_requires_support_coverage(line3, half_half):
     q = dirac(line3, 2)
     with pytest.raises(ValidationError):
         w1_dual_value(half_half, q, f)
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0), (0.0, 1.0, float("nan")),
+                                    (0.0, 1.0, float("inf")), ((0.0,), (1.0,), (2.0,))])
+def test_dual_potential_needs_one_finite_value_per_point(values):
+    # A value short would be a KeyError in w1_dual_value, and a NaN value
+    # passes every Lipschitz comparison there.
+    with pytest.raises(ValidationError, match="one finite value per point") as info:
+        DualPotential((0, 1, 2), values)
+    assert info.value.code == "invariant.dual"
 
 
 def test_flow_matches_bruteforce_on_random_rational_instances():
@@ -271,6 +282,73 @@ def test_flow_matches_network_simplex_beyond_brute_force():
         result = w1_flow(p, q)
         assert result.cost == _network_simplex_cost(nx, p, q, den) / den
         assert result.gap == 0.0
+
+
+def _scaled_network_simplex_cost(nx, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
+    """W1 from networkx on an integer instance scaled here from the floats
+    and fractions themselves: each cost and weight is the exact fraction it
+    stores, the costs over one power of two and the weights over one common
+    denominator. The supplies are scaled by q's total and the demands by p's,
+    so that they balance exactly, and the optimum is divided out once."""
+    costs = [[c.as_integer_ratio() for c in row]
+             for row in p.space.dist[np.ix_(p.support, q.support)].tolist()]
+    unit = max(d for row in costs for _, d in row)
+    a, b = ([Fraction(w) for w in (m.fractions or m.weights.tolist())] for m in (p, q))
+    den = math.lcm(*(w.denominator for w in a + b))
+    a, b = [int(w * den) for w in a], [int(w * den) for w in b]
+    total_a, total_b = sum(a), sum(b)
+    graph = nx.DiGraph()
+    for i, w in enumerate(a):
+        graph.add_node(("p", i), demand=-w * total_b)
+    for j, w in enumerate(b):
+        graph.add_node(("q", j), demand=w * total_a)
+    for i, row in enumerate(costs):
+        for j, (num, d) in enumerate(row):
+            graph.add_edge(("p", i), ("q", j), weight=num * (unit // d))
+    return nx.network_simplex(graph)[0] / (unit * den * total_b)
+
+
+def test_flow_matches_network_simplex_for_every_weight_pattern():
+    # The companion of the test above, up to the engine's cap of 181 x 181
+    # support pairs: float l2 and linf tables, float weights, empirical
+    # weights of samples with repeated points, and lopsided supports. Exact
+    # weights on an integer table (a grid under linf) give a gap of exactly
+    # 0; float weights sum to 1 only within a few ulps, and the gap carries
+    # that imbalance.
+    nx = pytest.importorskip("networkx")
+    rng = rng_from(19, 0)
+
+    def floats(space, support):
+        w = rng.random(len(support)) + 0.1
+        return DiscreteMeasure(space, support, (w / w.sum()).tolist())
+
+    def counts(space, support):
+        k = rng.integers(1, 10, size=len(support)).tolist()
+        return DiscreteMeasure.from_rational(space, support, k, sum(k))
+
+    def sample(space, points, size):
+        return empirical(PointTuple(space, rng.choice(points, size=size).tolist()))
+
+    l2, linf = (EuclideanSpace(rng.uniform(-1.0, 1.0, size=(362, 2)), norm).to_metric()
+                for norm in ("l2", "linf"))
+    grid = _grid_space(rng, 362, "linf")
+    first, second = list(range(181)), list(range(181, 362))
+    cases = [
+        (floats(l2, first[:32]), floats(l2, second[:32]), False),
+        (floats(l2, first), floats(l2, second), False),
+        (floats(linf, first[:128]), floats(linf, second[:128]), False),
+        (sample(l2, first[:60], 200), sample(l2, second[:60], 150), False),
+        (sample(grid, first[:60], 200), sample(grid, first[40:100], 120), True),
+        (floats(grid, first[:90]), floats(grid, second[:90]), False),
+        (dirac(l2, 0), floats(l2, second), False),
+        (counts(grid, first), counts(grid, second[:3]), True),
+    ]
+    for p, q, zero_gap in cases:
+        result = w1_flow(p, q)
+        assert result.cost == _scaled_network_simplex_cost(nx, p, q), (len(p.support),
+                                                                       len(q.support))
+        if zero_gap:
+            assert result.gap == 0.0
 
 
 def test_engine_refuses_work_above_its_budget():
