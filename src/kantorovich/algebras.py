@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _compose, _weights, dirac
+from .measures import DiscreteMeasure, _compose, _exact_or_float, _fractions, _weights, dirac
 from .monad import NestedMeasure, expectation
 from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
                        simplex_fractions, sweep)
@@ -58,16 +58,22 @@ class ConvexAlgebra:
 class SimplexWeights:
     """A finite weight vector: nonnegative entries summing to 1.
 
-    Exact entries (ints/Fractions) are kept exactly, mirroring measures.
+    Exact entries (ints/Fractions, or integer numerators over ``den``) are
+    kept exactly, as ``nums`` over ``den``, mirroring measures.
     """
 
-    __slots__ = ("entries", "fractions")
+    __slots__ = ("entries", "nums", "den")
 
-    def __init__(self, entries: Sequence):
+    def __init__(self, entries: Sequence, den: int | None = None):
         if len(entries) == 0:
             raise ValidationError("invariant.weights", "empty weight vector")
-        _, floats, self.fractions = _weights(entries, "invariant.weights", "weight")
+        _, floats, self.nums, self.den = _weights(entries, "invariant.weights", "weight", den=den)
         self.entries = tuple(floats.tolist())
+
+    @property
+    def fractions(self):
+        """The exact entries as Fractions, None on the float path."""
+        return _fractions(self.nums, self.den)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -110,9 +116,9 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
     """Substitute the part vectors into nu: entries nu_i * part_i[j], in order."""
     if len(parts) != len(nu):
         raise ValidationError("invariant.weights", "need one part per outer entry")
-    return SimplexWeights(_compose(nu.fractions or nu.entries,
-                                   [(part.fractions, part.entries) for part in parts],
-                                   "invariant.weights", "weight"))
+    return SimplexWeights(*_compose(*_exact_or_float(nu.nums, nu.den, nu.entries),
+                                    [(part.nums, part.den, part.entries) for part in parts],
+                                    "invariant.weights", "weight"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +207,8 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
 
         n_inner = int(rng.integers(1, 4))
         inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
-        outer = simplex_fractions(rng, n_inner, int(rng.integers(1, 13)))
-        mu = NestedMeasure(space, inner, outer)
+        den = int(rng.integers(1, 13))
+        mu = NestedMeasure(space, inner, simplex_fractions(rng, n_inner, den), den)
         via_points = np.zeros(algebra.dim)
         for w, m in zip(mu.outer_weights, mu.inner):
             via_points += float(w) * barycenter(algebra, m)
@@ -222,7 +228,7 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
         matrix, offset = _random_short_affine(rng, algebra)
         p = random_measure(rng, space, space.n)
         image_space = EuclideanSpace(points @ matrix.T + offset, algebra.norm).to_metric()
-        image_measure = DiscreteMeasure(image_space, list(p.support), list(p.fractions))
+        image_measure = DiscreteMeasure(image_space, p.support, p.nums, p.den)
         affine = algebra.distance(matrix @ barycenter(algebra, p) + offset,
                                   barycenter(algebra, image_measure))
         return unit, multiplication, power_triangle, power_square, affine

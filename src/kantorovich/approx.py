@@ -54,9 +54,9 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     k = max(1, math.ceil(1 / eps))
     nums, den = _exact_weights(p)
 
-    rounded = [Fraction(num * k // den, k) for num in nums[:-1]]
-    rounded.append(1 - sum(rounded, Fraction(0)))
-    q = DiscreteMeasure(p.space, list(p.support), rounded)
+    rounded = [num * k // den for num in nums[:-1]]
+    rounded.append(k - sum(rounded))
+    q = DiscreteMeasure(p.space, p.support, rounded, k)
 
     n = len(p.support)
     diam = float(np.max(p.space.dist[np.ix_(p.support, p.support)], initial=0.0))
@@ -82,7 +82,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
         raise ValidationError("invariant.measure", "radius must be nonnegative")
     nums, den = _exact_weights(p)
     support: list[int] = []
-    vals: list[Fraction] = []
+    vals: list[int] = []  # the kept weights, times den
     moved = 0  # the outside mass, and its first moment about the center, times den
     formula = Fraction(0)
     for x, num in zip(p.support, nums):
@@ -91,11 +91,11 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
             formula += num * Fraction(p.space.d(center, x))
         else:
             support.append(x)
-            vals.append(Fraction(num, den))
+            vals.append(num)
     if moved > 0:
         support.append(center)
-        vals.append(Fraction(moved, den))
-    q = DiscreteMeasure(p.space, support, vals)
+        vals.append(moved)
+    q = DiscreteMeasure(p.space, support, vals, den)
     error = w1_flow(p, q).cost if moved > 0 else 0.0
     return ApproximationReport(
         target=p, approximant=q, w1_error=float(error), bound=float(formula / den),

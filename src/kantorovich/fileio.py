@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .measures import DiscreteMeasure, _exact_weights
+from .measures import DiscreteMeasure
 from .spaces import EuclideanSpace, FiniteMetricSpace, _check_table_cap, validate_metric
 
 
@@ -122,8 +122,8 @@ def _indices_from_json(text: str) -> list:
 
 def measure_to_json(p: DiscreteMeasure) -> dict:
     out: dict = {"support": list(p.support), "weights": [float(w) for w in p.weights]}
-    if p.fractions is not None:
-        out["num"], out["den"] = _exact_weights(p)
+    if p.den is not None:
+        out["num"], out["den"] = list(p.nums), p.den
     return out
 
 

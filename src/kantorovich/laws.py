@@ -10,7 +10,6 @@ solver tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -95,11 +94,11 @@ def _mixture_contraction(rng) -> float:
     q1 = random_measure(rng, space)
     q2 = random_measure(rng, space)
     p = random_measure(rng, space)
-    lam = Fraction(int(rng.integers(0, 9)), 8)
-    lhs = w1_flow(mixture([lam, 1 - lam], [q1, p]),
-                  mixture([lam, 1 - lam], [q2, p])).cost
+    k = int(rng.integers(0, 9))  # lambda = k/8
+    lhs = w1_flow(mixture([k, 8 - k], [q1, p], 8),
+                  mixture([k, 8 - k], [q2, p], 8)).cost
     rhs = w1_flow(q1, q2).cost
-    return abs(lhs - float(lam) * rhs)
+    return abs(lhs - k / 8 * rhs)
 
 
 def _short_map_instance(rng):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import (DiscreteMeasure, _compose, _exact_or_float, _exact_weights, _weights, dirac,
-                       mixture, weight_discrepancy)
+from .measures import (DiscreteMeasure, _comparable, _compose, _exact_or_float, _fractions,
+                       _weights, dirac, mixture, weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
                        sweep)
@@ -26,12 +25,15 @@ from .transport import w1_flow
 
 class NestedMeasure:
     """A measure over measures: an outer weight vector on a deduplicated,
-    canonically ordered roster of inner measures."""
+    canonically ordered roster of inner measures. The exact outer weights
+    are ``outer_nums`` over ``outer_den``, both None on the float path;
+    given ``den``, the constructor reads ``outer_weights`` as integer
+    numerators over it."""
 
-    __slots__ = ("space", "inner", "outer_weights", "outer_fractions")
+    __slots__ = ("space", "inner", "outer_weights", "outer_nums", "outer_den")
 
     def __init__(self, space: FiniteMetricSpace, inner: Sequence[DiscreteMeasure],
-                 outer_weights: Sequence):
+                 outer_weights: Sequence, den: int | None = None):
         if len(inner) != len(outer_weights) or not inner:
             raise ValidationError("invariant.measure", "need one outer weight per inner measure")
         for m in inner:
@@ -41,11 +43,16 @@ class NestedMeasure:
         first: dict = {}
         for key, m in zip(keys, inner):
             first.setdefault(key, m)
-        keys, self.outer_weights, self.outer_fractions = _weights(
-            outer_weights, "invariant.measure", "outer weight",
-            exact=all(m.fractions is not None for m in inner), keys=keys, order=_roster_order)
+        keys, self.outer_weights, self.outer_nums, self.outer_den = _weights(
+            outer_weights, "invariant.measure", "outer weight", den=den,
+            exact=all(m.den is not None for m in inner), keys=keys, order=_roster_order)
         self.space = space
         self.inner = tuple(first[key] for key in keys)
+
+    @property
+    def outer_fractions(self):
+        """The exact outer weights as Fractions, None on the float path."""
+        return _fractions(self.outer_nums, self.outer_den)
 
     def __len__(self) -> int:
         return len(self.inner)
@@ -55,8 +62,8 @@ class NestedMeasure:
 
 
 def _roster_order(key) -> tuple:
-    support, weights = key
-    return (support, tuple(float(w) for w in weights))
+    support, nums, den = key
+    return (support, tuple(num / den for num in nums))
 
 
 def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
@@ -64,13 +71,13 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
     rosters; infinity when the rosters differ as sets."""
     if len(a) != len(b):
         return math.inf
+    wa, wb, scale = _comparable((a.outer_nums, a.outer_den, a.outer_weights),
+                                (b.outer_nums, b.outer_den, b.outer_weights))
     worst = 0.0
-    for ma, mb, wa, wb in zip(a.inner, b.inner,
-                              _exact_or_float(a.outer_fractions, a.outer_weights),
-                              _exact_or_float(b.outer_fractions, b.outer_weights)):
+    for ma, mb, na, nb in zip(a.inner, b.inner, wa, wb):
         if ma.support != mb.support:
             return math.inf
-        worst = max(worst, weight_discrepancy(ma, mb), float(abs(wa - wb)))
+        worst = max(worst, weight_discrepancy(ma, mb), abs(na - nb) / scale)
     return worst
 
 
@@ -95,18 +102,18 @@ def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiS
 
     ``size`` defaults to p's common denominator and must be a multiple of it.
     """
-    if p.fractions is None:
+    if p.den is None:
         raise ValidationError("invariant.measure", "measure has no exact weights")
-    nums, den = _exact_weights(p)
+    den = p.den
     n = den if size is None else int(size)
     if n % den != 0:
         raise ValidationError("invariant.measure", f"size {n} is not a multiple of {den}")
-    return MultiSet(p.space, [x for x, k in zip(p.support, nums) for _ in range(k * (n // den))])
+    return MultiSet(p.space, [x for x, k in zip(p.support, p.nums) for _ in range(k * (n // den))])
 
 
 def nested_dirac(p: DiscreteMeasure) -> NestedMeasure:
     """Point mass at a measure (the unit one level up)."""
-    return NestedMeasure(p.space, [p], [Fraction(1)])
+    return NestedMeasure(p.space, [p], [1], 1)
 
 
 def dirac_kernel(space: FiniteMetricSpace) -> Callable[[int], DiscreteMeasure]:
@@ -118,23 +125,26 @@ def kernel_pushforward(kernel: Callable[[int], DiscreteMeasure],
                        p: DiscreteMeasure) -> NestedMeasure:
     """Push p forward along a kernel from points to measures."""
     return NestedMeasure(p.space, [kernel(x) for x in p.support],
-                         _exact_or_float(p.fractions, p.weights))
+                         *_exact_or_float(p.nums, p.den, p.weights))
 
 
 def expectation(mu: NestedMeasure) -> DiscreteMeasure:
     """Expected distribution: mix the inner measures by the outer weights."""
-    return mixture(_exact_or_float(mu.outer_fractions, mu.outer_weights), mu.inner)
+    coeffs, den = _exact_or_float(mu.outer_nums, mu.outer_den, mu.outer_weights)
+    return mixture(coeffs, mu.inner, den)
 
 
-def nested_expectation_outer(outer_coeffs: Sequence,
-                             nested: Sequence[NestedMeasure]) -> NestedMeasure:
+def nested_expectation_outer(outer_coeffs: Sequence, nested: Sequence[NestedMeasure],
+                             den: int | None = None) -> NestedMeasure:
     """Flatten the two outermost layers of a depth-3 measure, leaving the
-    innermost layer untouched."""
+    innermost layer untouched; given ``den``, the coefficients are integer
+    numerators over it."""
     if len(outer_coeffs) != len(nested) or not nested:
         raise ValidationError("invariant.measure", "need one coefficient per nested measure")
-    weights = _compose(outer_coeffs, [(nu.outer_fractions, nu.outer_weights) for nu in nested],
-                       "invariant.measure", "outer coefficient")
-    return NestedMeasure(nested[0].space, [m for nu in nested for m in nu.inner], weights)
+    weights, den = _compose(outer_coeffs, den,
+                            [(nu.outer_nums, nu.outer_den, nu.outer_weights) for nu in nested],
+                            "invariant.measure", "outer coefficient")
+    return NestedMeasure(nested[0].space, [m for nu in nested for m in nu.inner], weights, den)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def _ppx_image(nms: NestedMultiSet) -> NestedMeasure:
     """Empirical measure on empirical measures of the inner multisets."""
     n = nms.outer
     inner = [empirical_sym(s) for s in nms.inners]
-    return NestedMeasure(nms.space, inner, [Fraction(1, n)] * n)
+    return NestedMeasure(nms.space, inner, [1] * n, n)
 
 
 def check_ppx_square(nms: NestedMultiSet) -> bool:
@@ -190,7 +200,7 @@ def check_ppx_square(nms: NestedMultiSet) -> bool:
     down_right = NestedMeasure(
         nms.space,
         [empirical_sym(s) for s in counts],
-        [Fraction(k, n) for k in counts.values()],
+        list(counts.values()), n,
     )
     return nested_weight_discrepancy(right_down, down_right) == 0.0
 
@@ -207,8 +217,8 @@ def check_monad_laws(trials: int, seed: int = 0, max_points: int = 6,
     with ``random_measure``; with exact weights every discrepancy is 0.0.
     """
 
-    def coeffs(rng, k: int) -> list:
-        return simplex_fractions(rng, k, 16) if exact else simplex_floats(rng, k)
+    def coeffs(rng, k: int) -> tuple[list, int | None]:
+        return (simplex_fractions(rng, k, 16), 16) if exact else (simplex_floats(rng, k), None)
 
     def trial(rng) -> tuple[float, float, float]:
         space = random_space(rng, max_points)
@@ -217,10 +227,11 @@ def check_monad_laws(trials: int, seed: int = 0, max_points: int = 6,
         for _i in range(int(rng.integers(1, 4))):
             js = int(rng.integers(1, 4))
             inner = [random_measure(rng, space, max_support, exact) for _j in range(js)]
-            nested.append(NestedMeasure(space, inner, coeffs(rng, js)))
-        outer = coeffs(rng, len(nested))
-        inner_first = expectation(NestedMeasure(space, [expectation(nu) for nu in nested], outer))
-        outer_first = expectation(nested_expectation_outer(outer, nested))
+            nested.append(NestedMeasure(space, inner, *coeffs(rng, js)))
+        outer, den = coeffs(rng, len(nested))
+        inner_first = expectation(NestedMeasure(space, [expectation(nu) for nu in nested],
+                                                outer, den))
+        outer_first = expectation(nested_expectation_outer(outer, nested, den))
         return (weight_discrepancy(expectation(nested_dirac(p)), p),
                 weight_discrepancy(expectation(kernel_pushforward(dirac_kernel(space), p)), p),
                 weight_discrepancy(inner_first, outer_first))

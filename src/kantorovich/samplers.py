@@ -9,7 +9,6 @@ exactness claims of the law checks honest.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,15 +87,11 @@ def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricS
     return random_euclidean_space(rng, n, dim)
 
 
-def simplex_fractions(rng: np.random.Generator, k: int, den: int) -> list[Fraction]:
-    """Exact weights in the k-simplex with common denominator den (zeros allowed)."""
-    cuts = sorted(int(c) for c in rng.integers(0, den + 1, size=k - 1))
-    parts: list[Fraction] = []
-    prev = 0
-    for c in [*cuts, den]:
-        parts.append(Fraction(c - prev, den))
-        prev = c
-    return parts
+def simplex_fractions(rng: np.random.Generator, k: int, den: int) -> list[int]:
+    """Exact weights in the k-simplex with common denominator den, as their
+    k integer numerators summing to den (zeros allowed)."""
+    cuts = [0, *sorted(rng.integers(0, den + 1, size=k - 1).tolist()), den]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
@@ -112,10 +107,8 @@ def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
     support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
     if exact:
         den = int(rng.integers(1, 13))
-        weights: Sequence = simplex_fractions(rng, k, den)
-    else:
-        weights = simplex_floats(rng, k)
-    return DiscreteMeasure(space, support, weights)
+        return DiscreteMeasure(space, support, simplex_fractions(rng, k, den), den)
+    return DiscreteMeasure(space, support, simplex_floats(rng, k))
 
 
 def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
@@ -125,7 +118,7 @@ def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
     for _ in range(2):
         k = int(rng.integers(1, min(max_support, space.n) + 1))
         support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
-        out.append(DiscreteMeasure(space, support, simplex_fractions(rng, k, den)))
+        out.append(DiscreteMeasure(space, support, simplex_fractions(rng, k, den), den))
     return out[0], out[1]
 
 

@@ -161,11 +161,13 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
 
     worst_tri = 0.0
     worst_at = (0, 0, 0)
+    slack = np.empty_like(table)  # d(i, j) - d(i, k) - d(k, j), one k at a time
     for k in range(n):
-        slack = table - (table[:, k][:, None] + table[k, :][None, :])
-        m = float(np.max(slack))
+        np.add(table[:, k:k + 1], table[k:k + 1, :], out=slack)
+        np.subtract(table, slack, out=slack)
+        m = float(slack.max())
         if m > worst_tri:
-            i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            i, j = np.unravel_index(int(slack.argmax()), slack.shape)
             worst_tri = m
             worst_at = (int(i), int(k), int(j))
     if worst_tri > tau_metric:

@@ -311,8 +311,8 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
     """Length of p's point-multiset expansion: the common denominator of
     exact weights, the support size of (near-)uniform float weights, and
     None for any other float weights."""
-    if p.fractions is not None:
-        return p.denominator
+    if p.den is not None:
+        return p.den
     w0 = float(p.weights[0])
     if any(abs(float(w) - w0) > TAU_WEIGHT for w in p.weights):
         return None
@@ -321,9 +321,9 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
 
 def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
     """Positions in p.support repeated by multiplicity, _expansion_size(p) of them."""
-    if p.fractions is None:
+    if p.den is None:
         return list(range(len(p.support)))
-    return [i for i, k in enumerate(_exact_weights(p)[0]) for _ in range(k)]
+    return [i for i, k in enumerate(p.nums) for _ in range(k)]
 
 
 def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
@@ -358,13 +358,13 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     """Oracle: expand both measures over their common denominator and scan
     all pairings. Requires exact weights; D! work, so D is capped."""
     _require_same_space(p, q)
-    if p.fractions is None or q.fractions is None:
+    if p.den is None or q.den is None:
         raise ValidationError("solver.rational_required", "brute force needs exact weights")
-    d = _exact_weights(p, q)[1]
+    d = math.lcm(p.den, q.den)
     if d > MAX_BRUTE_SIZE:
         raise ValidationError("invariant.size_cap",
                               f"common denominator {d} exceeds cap {MAX_BRUTE_SIZE}")
-    left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.denominator)]
+    left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.den)]
                    for m in (p, q))
     return multiset_distance_bruteforce(MultiSet(p.space, left), MultiSet(q.space, right))
 

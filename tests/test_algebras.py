@@ -78,8 +78,8 @@ def test_operad_compose_associates_with_barycenters():
     for _ in range(20):
         k = int(rng.integers(1, 4))
         arities = [int(rng.integers(1, 4)) for _ in range(k)]
-        nu = SimplexWeights(simplex_fractions(rng, k, 8))
-        parts = [SimplexWeights(simplex_fractions(rng, a, 8)) for a in arities]
+        nu = SimplexWeights(simplex_fractions(rng, k, 8), 8)
+        parts = [SimplexWeights(simplex_fractions(rng, a, 8), 8) for a in arities]
         pts = [rng.uniform(-5, 5, size=3) for _ in range(sum(arities))]
         composed = operad_compose(nu, parts)
         direct = sum(float(w) * p for w, p in zip(composed.fractions, pts))
@@ -127,10 +127,10 @@ def test_barycenter_is_short_map():
         den = int(rng.integers(2, 6))
         cuts_p = simplex_fractions(rng, int(rng.integers(1, 4)), den)
         sup_p = sorted(rng.choice(5, size=len(cuts_p), replace=False).tolist())
-        p = DiscreteMeasure(space, sup_p, cuts_p)
+        p = DiscreteMeasure(space, sup_p, cuts_p, den)
         cuts_q = simplex_fractions(rng, int(rng.integers(1, 4)), den)
         sup_q = sorted(rng.choice(5, size=len(cuts_q), replace=False).tolist())
-        q = DiscreteMeasure(space, sup_q, cuts_q)
+        q = DiscreteMeasure(space, sup_q, cuts_q, den)
         gap = alg.distance(barycenter(alg, p), barycenter(alg, q))
         assert gap <= wasserstein1(p, q).cost + 1e-9
 
@@ -144,7 +144,7 @@ def test_free_algebra_structure():
     def msr():
         k = int(rng.integers(1, 4))
         sup = sorted(rng.choice(5, size=k, replace=False).tolist())
-        return DiscreteMeasure(space, sup, simplex_fractions(rng, k, 8))
+        return DiscreteMeasure(space, sup, simplex_fractions(rng, k, 8), 8)
 
     for _ in range(15):
         p, q, r = msr(), msr(), msr()

@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kantorovich import (DiscreteMeasure, ValidationError, dirac, first_moment,
-                         measures_equal, mixture, pushforward,
+from kantorovich import (TAU_WEIGHT, DiscreteMeasure, FiniteMetricSpace, ValidationError, dirac,
+                         first_moment, measures_equal, mixture, pushforward,
                          weight_discrepancy)
 
 
@@ -141,3 +142,94 @@ def test_weights_always_sum_to_one(case):
     assert float(np.sum(p.weights)) == pytest.approx(1.0, abs=1e-12)
     assert all(w > 0 for w in p.fractions)
     assert list(p.support) == sorted(set(p.support))
+
+
+def test_support_index_outside_the_space_names_the_smallest(line3):
+    with pytest.raises(ValidationError, match="^support index -2 outside space$"):
+        DiscreteMeasure(line3, [5, 1, -2, 4, 0], [1, 1, 1, 1, 1], 5)
+    with pytest.raises(ValidationError, match="^support index 3 outside space$") as err:
+        DiscreteMeasure(line3, [7, 3, 2], [0.25, 0.25, 0.5])
+    assert err.value.code == "invariant.measure"
+
+
+def _fraction_weights(values, code, label, exact=True, keys=None, order=None):
+    """The weight check as it stood with one Fraction per weight, before
+    exact weights became integers over one denominator: the oracle of the
+    integer format."""
+    exact = exact and all(isinstance(w, (int, Fraction)) for w in values)
+    vals = [(w if type(w) is Fraction else Fraction(w)) if exact else float(w) for w in values]
+    for i, w in enumerate(vals):
+        if not (exact or math.isfinite(w)):
+            raise ValidationError(code, f"{label} {i} is not finite: {w!r}")
+        if w < 0:
+            raise ValidationError(code, f"{label} {i} is negative: {w!r}")
+    add = sum if exact else math.fsum
+    if keys is not None:
+        groups: dict = {}
+        for key, w in zip(keys, vals):
+            groups.setdefault(key, []).append(w)
+        keys, vals = [], []
+        for key in sorted(groups, key=order):
+            ws = groups[key]
+            w = ws[0] if len(ws) == 1 else add(ws)
+            if w != 0:
+                keys.append(key)
+                vals.append(w)
+        keys = tuple(keys)
+    total = add(vals)
+    if total != 1 and abs(total - 1) > TAU_WEIGHT:
+        raise ValidationError(code, f"{label}s sum to {total}, not 1")
+    weights = np.array([float(w) for w in vals])
+    weights.setflags(write=False)
+    if not exact:
+        return keys, weights, None
+    return keys, weights, tuple(vals)
+
+
+@st.composite
+def keyed_numerators(draw):
+    """Keys with repeats and numerators over den: a composition of den with
+    zeros, so that some keys merge to zero, then maybe one entry made
+    negative or the sum pushed off 1 by at least 1/den."""
+    den = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=8))
+    keys = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=k))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=den),
+                                min_size=k - 1, max_size=k - 1)))
+    nums = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    fault = draw(st.sampled_from(["none", "none", "negative", "off"]))
+    i = draw(st.integers(min_value=0, max_value=k - 1))
+    if fault == "negative":
+        nums[i] = -draw(st.integers(min_value=1, max_value=den))
+    elif fault == "off":
+        nums[i] += draw(st.sampled_from([-1, 1])) * draw(st.integers(min_value=1, max_value=den))
+    return keys, nums, den
+
+
+@given(keyed_numerators())
+@example(([2, 0, 2, 1], [1, 2, 1, 0], 4))  # key 1 merges to zero, key 2 merges to 1/2
+@example(([3, 3], [0, 0], 5))  # every key merges to zero
+@settings(max_examples=300, deadline=None)
+def test_integer_weights_match_the_fraction_oracle(case):
+    keys, nums, den = case
+    space = FiniteMetricSpace(np.ones((5, 5)) - np.eye(5))
+    fractions = [Fraction(n, den) for n in nums]
+    try:
+        expected = _fraction_weights(fractions, "invariant.measure", "weight", keys=keys)
+    except ValidationError as exc:
+        expected = exc
+    for build in (lambda: DiscreteMeasure(space, keys, nums, den),
+                  lambda: DiscreteMeasure(space, keys, fractions),
+                  lambda: DiscreteMeasure.from_rational(space, keys, nums, den)):
+        if isinstance(expected, ValidationError):
+            with pytest.raises(ValidationError) as err:
+                build()
+            assert (err.value.code, err.value.message) == (expected.code, expected.message)
+            continue
+        p = build()
+        support, weights, exact = expected
+        assert p.support == support
+        assert p.weights.tobytes() == weights.tobytes()
+        assert p.fractions == exact
+        assert p.denominator == math.lcm(*(w.denominator for w in exact))
+        assert p.den == p.denominator and math.gcd(p.den, *p.nums) == 1

@@ -153,8 +153,8 @@ def test_expectation_is_short_for_w1():
         coeffs = simplex_fractions(rng, k, 8)
         inner_a = [random_measure(rng, space, max_support=3) for _ in range(k)]
         inner_b = [random_measure(rng, space, max_support=3) for _ in range(k)]
-        left = expectation(NestedMeasure(space, inner_a, coeffs))
-        right = expectation(NestedMeasure(space, inner_b, coeffs))
-        pairwise = sum(float(c) * wasserstein1(a, b).cost
+        left = expectation(NestedMeasure(space, inner_a, coeffs, 8))
+        right = expectation(NestedMeasure(space, inner_b, coeffs, 8))
+        pairwise = sum(c / 8 * wasserstein1(a, b).cost
                        for c, a, b in zip(coeffs, inner_a, inner_b))
         assert wasserstein1(left, right).cost <= pairwise + 1e-9

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kantorovich import (EuclideanSpace, FiniteMetricSpace, ValidationError,
+from kantorovich import (EuclideanSpace, FiniteMetricSpace, MetricViolation, ValidationError,
                          check_isometric, check_short,
                          convex_combination_space, product_index,
                          tensor_product, validate_metric, vector_distance)
@@ -63,6 +63,30 @@ def test_validate_metric_catches_each_axiom():
 def test_valid_metric_is_clean(line3, line4):
     assert validate_metric(line3, 1e-9) == []
     assert validate_metric(line4, 1e-9) == []
+
+
+def test_worst_triangle_violation_is_the_first_of_its_ties():
+    # Every distance is 1 but d(0, 1) = d(3, 4) = 10, so both long pairs
+    # break the triangle by 8 through every other point: through k = 0
+    # only (3, 4) and (4, 3) do, and the first k wins, then the first
+    # argmax in row-major order.
+    table = np.ones((5, 5)) - np.eye(5)
+    table[0, 1] = table[1, 0] = table[3, 4] = table[4, 3] = 10.0
+    assert validate_metric(FiniteMetricSpace(table), 1e-9) == [
+        MetricViolation("triangle", (3, 0, 4), 8.0)]
+    # Every axiom at once, in order; d(0, 1) breaks the triangle by 7
+    # through k = 2 and k = 3, in both directions.
+    table = np.array([[0.0, 9.0, 1.0, 1.0],
+                      [9.0, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.5, 1.0],
+                      [1.0, 1.0, -0.25, 0.0]])
+    assert validate_metric(FiniteMetricSpace(table), 1e-9) == [
+        MetricViolation("nonnegativity", (3, 2), 0.25),
+        MetricViolation("reflexivity", (2, 2), 0.5),
+        MetricViolation("symmetry", (2, 3), 1.25),
+        MetricViolation("triangle", (0, 2, 1), 7.0),
+        MetricViolation("positivity", (3, 2), -0.25),
+    ]
 
 
 def test_vector_distance_norms():
