@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -68,8 +68,24 @@ class Coupling:
     def __init__(self, p: DiscreteMeasure, q: DiscreteMeasure, matrix):
         dense = np.asarray(matrix, dtype=float)
         index = np.flatnonzero(dense).astype(np.min_scalar_type(dense.size))
-        for name, value in (("p", p), ("q", q), ("shape", dense.shape),
-                            ("_index", index), ("_mass", dense.ravel()[index])):
+        self._store(p, q, dense.shape, index, dense.ravel()[index])
+
+    @classmethod
+    def _from_plan(cls, p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan) -> Coupling:
+        """The coupling of a plan's entries (i, j, mass), with no dense array:
+        the positions and masses that ``Coupling(p, q, matrix)`` keeps."""
+        m, n = len(p.support), len(q.support)
+        entries = [(i * n + j, w) for i, j, w in sorted((i, j, float(mass)) for i, j, mass in plan)
+                   if w]
+        coupling = object.__new__(cls)
+        coupling._store(p, q, (m, n),
+                        np.array([k for k, _ in entries], dtype=np.min_scalar_type(m * n)),
+                        np.array([w for _, w in entries], dtype=float))
+        return coupling
+
+    def _store(self, p, q, shape, index, mass) -> None:
+        for name, value in (("p", p), ("q", q), ("shape", shape),
+                            ("_index", index), ("_mass", mass)):
             object.__setattr__(self, name, value)
 
     @property
@@ -154,8 +170,22 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     the cost rows is therefore kept from phase to phase: best[j] is the
     first source of least cost in column j, low[j] that cost, and the two
     seed the heap. Only the columns whose best source runs dry are swept
-    again. Each demand keeps the rows with positive flow into it, its tight
-    back arcs.
+    again, from that source's list of the columns it owns. Each demand keeps
+    the rows with positive flow into it, its tight back arcs.
+
+    A supply that runs dry is reached along a back arc and relaxes its row.
+    The phase ends at a distance D no larger than ub, the least tentative
+    distance of any demand with a deficit so far; top is the largest demand
+    potential of the phase. Supply i popped at distance d offers demand k at
+    least d + pot[i] + c - top, so the row is scanned cheapest first, and the
+    scan stops at the first cost c > ub - (d + pot[i]) + top. A pruned offer
+    lies beyond D: its node is not popped before the phase ends, so the
+    settle order and the pred of every settled node are those of a full
+    scan, and its lift is min(distance, D) = D either way, so the potentials
+    and the plan are unchanged too. Offers at the bound are kept, since ties
+    at D decide which demand ends the phase. Each row is sorted when it is
+    first relaxed and kept for the rest of the solve only. A phase that ends
+    at D = 0 moves no potential, and skips the lift.
 
     Supply equals demand exactly and every supply reaches every demand, so
     each phase finds a path, and each augmentation meets at least one unit
@@ -188,16 +218,25 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     live = list(range(m))  # the sources, in index order
     low = [min(col) for col in cols]
     best = [col.index(c) for col, c in zip(cols, low)]
+    owned: list[list[int]] = [[] for _ in range(m)]  # owned[i]: columns whose best is i
+    for j, i in enumerate(best):
+        owned[i].append(j)
     start = [0] * m  # the supplies' distances as a phase starts
     into: list[dict[int, int]] = [{} for _ in range(n)]  # into[j][i]: flow from i to j
+    rows: dict[int, list[tuple[int, int]]] = {}  # rows[i]: row i as (cost, node), cheapest first
 
     while live:
         # The sources are settled; each column starts at its reduced cost
         # from its best source.
-        dist = start + list(map(sub, low, pot[m:]))
+        reach = list(map(sub, low, pot[m:]))
+        dist = start + reach
         pred = [-1] * m + best
-        heap = list(zip(dist[m:], range(m, m + n)))
+        heap = list(zip(reach, range(m, m + n)))
         heapq.heapify(heap)
+        # The bound of the row scans: ub falls as demands with a deficit
+        # improve, and top stays for the phase.
+        ub = min(compress(reach, demand))
+        top = max(pot[m:])
         # A settled node is never relaxed again: its distance is already no
         # larger than the one being offered. Entries above a node's distance
         # are stale.
@@ -207,11 +246,19 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
                 continue
             if node < m:
                 base = d + pot[node]
-                for k, c in enumerate(cost[node], m):
+                limit = ub + top - base
+                if node not in rows:
+                    rows[node] = sorted(zip(cost[node], range(m, m + n)))
+                for c, k in rows[node]:
+                    if c > limit:
+                        break  # this offer and every later one exceed ub
                     nd = base + c - pot[k]
                     if nd < dist[k]:
                         dist[k], pred[k] = nd, node
                         heapq.heappush(heap, (nd, k))
+                        if nd < ub and demand[k - m]:
+                            ub = nd
+                            limit = ub + top - base
             elif demand[node - m]:
                 break
             else:
@@ -221,8 +268,10 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
                         dist[i], pred[i] = d, node
                         heapq.heappush(heap, (d, i))
         # Lift each potential by min(distance, d): the nodes below d have
-        # settled, and the others are at least d away.
-        pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
+        # settled, and the others are at least d away. At d = 0 no potential
+        # moves.
+        if d:
+            pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
 
         # Walk the path back from node to a source: it alternates demand,
         # supply, demand, ..., and each supply on it gains flow towards the
@@ -250,10 +299,10 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
         if not supply[source]:
             live.remove(source)
             start[source] = math.inf
-            for j, i in enumerate(best):
-                if i == source and live:
-                    best[j] = min(live, key=cols[j].__getitem__)
-                    low[j] = cols[j][best[j]]
+            for j in owned[source] if live else ():
+                best[j] = min(live, key=cols[j].__getitem__)
+                low[j] = cols[j][best[j]]
+                owned[best[j]].append(j)
 
     plan = [(i, j, Fraction(f, scale)) for j, col in enumerate(into) for i, f in col.items()]
     return plan, _Exact(extra, cost, unit, a, b, den, pot[m:])
@@ -289,10 +338,8 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
             - sum(w * f[y] for y, w in zip(q.support, exact.b)))
     gap = abs(primal * exact.den - dual * plan_den)
 
-    matrix = np.zeros((len(p.support), len(q.support)))
-    for i, j, mass in plan:
-        matrix[i, j] = float(mass)
-    return TransportResult(cost=primal / (plan_den * exact.unit), coupling=Coupling(p, q, matrix),
+    return TransportResult(cost=primal / (plan_den * exact.unit),
+                           coupling=Coupling._from_plan(p, q, plan),
                            dual=DualPotential(points, [f[z] / exact.unit for z in points]),
                            gap=gap / (plan_den * exact.den * exact.unit), solver=solver)
 

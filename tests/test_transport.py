@@ -1,7 +1,10 @@
 import hashlib
+import heapq
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter, sub
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpac
                          first_moment, mixture, multiset_distance_bruteforce,
                          transport, validate_coupling, w1_assignment,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
+from kantorovich.measures import _exact_weights
 from kantorovich.samplers import (random_euclidean_space, random_measure, random_metric_space,
                                   random_rational_pair, rng_from)
 from kantorovich.tolerances import (MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SUPPORT_PAIRS,
@@ -527,3 +531,140 @@ def test_engine_keeps_its_plans_and_duals():
         plan, exact = _transport_plan(p, q)
         digest.update(repr((sorted(plan), exact.v)).encode())
     assert digest.hexdigest()[:16] == "a95497fb45a8910d"
+
+
+def _reference_plan(p: DiscreteMeasure, q: DiscreteMeasure):
+    """The engine as it was before it bounded its row scans, skipped the lift
+    at distance 0 and kept per-source column lists: every dry supply scans
+    its whole row, every phase lifts every potential, and a dry source's
+    columns are found by a scan of all of ``best``. Returns sorted(plan) and
+    the right-side duals, as ``_transport_plan`` gives them."""
+    m, n = len(p.support), len(q.support)
+    weights, den = _exact_weights(p, q)
+    a, b = weights[:m], weights[m:]
+    g = math.gcd(sum(a), sum(b))
+    supply = [w * (sum(b) // g) for w in a]
+    demand = [w * (sum(a) // g) for w in b]
+    scale = den * (sum(b) // g)
+    extra = sorted(set(q.support) - set(p.support))
+    columns = np.array(q.support)
+
+    def ratios(z):
+        return list(map(float.as_integer_ratio, p.space.dist[z].take(columns).tolist()))
+
+    table = [ratios(x) for x in p.support]
+    unit = max(max(map(itemgetter(1), row)) for row in chain(table, map(ratios, extra)))
+    cost = [[num * (unit // d) for num, d in row] for row in table]
+    pot = [0] * (m + n)
+    cols = list(zip(*cost))
+    live = list(range(m))
+    low = [min(col) for col in cols]
+    best = [col.index(c) for col, c in zip(cols, low)]
+    start = [0] * m
+    into = [{} for _ in range(n)]
+
+    while live:
+        dist = start + list(map(sub, low, pot[m:]))
+        pred = [-1] * m + best
+        heap = list(zip(dist[m:], range(m, m + n)))
+        heapq.heapify(heap)
+        while True:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            if node < m:
+                base = d + pot[node]
+                for k, c in enumerate(cost[node], m):
+                    nd = base + c - pot[k]
+                    if nd < dist[k]:
+                        dist[k], pred[k] = nd, node
+                        heapq.heappush(heap, (nd, k))
+            elif demand[node - m]:
+                break
+            else:
+                for i in into[node - m]:
+                    if d < dist[i]:
+                        dist[i], pred[i] = d, node
+                        heapq.heappush(heap, (d, i))
+        pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
+
+        j, theta = node - m, demand[node - m]
+        pushes, pulls = [], []
+        while True:
+            i = pred[m + j]
+            pushes.append((i, j))
+            if pred[i] < 0:
+                break
+            j = pred[i] - m
+            pulls.append((i, j))
+            theta = min(theta, into[j][i])
+        source = i
+        theta = min(theta, supply[source])
+        for i, j in pushes:
+            into[j][i] = into[j].get(i, 0) + theta
+        for i, j in pulls:
+            into[j][i] -= theta
+            if not into[j][i]:
+                del into[j][i]
+        supply[source] -= theta
+        demand[node - m] -= theta
+        if not supply[source]:
+            live.remove(source)
+            start[source] = math.inf
+            for j, i in enumerate(best):
+                if i == source and live:
+                    best[j] = min(live, key=cols[j].__getitem__)
+                    low[j] = cols[j][best[j]]
+
+    plan = [(i, j, Fraction(f, scale)) for j, col in enumerate(into) for i, f in col.items()]
+    return sorted(plan), pot[m:]
+
+
+def _oracle_instances():
+    """150 engine instances beyond the pinned 48: l1, l2 and linf grids up to
+    n = 128, exact weights over 60, 360 and 997, float weights, empirical
+    measures with repeated points, the 24-point line whose cost table is
+    full of ties, and lopsided 1 x k, k x 1, k x 2 and 2 x k supports."""
+    line = np.arange(24, dtype=float)
+    tied = FiniteMetricSpace(np.abs(line[:, None] - line[None, :]))
+    kinds = ("exact 60", "exact 360", "exact 997", "float", "empirical")
+    for trial in range(150):
+        rng = rng_from(29, trial)
+        kind = kinds[trial % 5]
+        if trial % 4 == 3:
+            points, space = 24, tied
+            m, n = rng.integers(1, 25, size=2).tolist()
+        else:
+            norm = ("l1", "l2", "linf")[trial % 3]
+            top = 128 if trial % 10 == 0 else 40
+            m, n = rng.integers(2, top + 1, size=2).tolist()
+            points = m + n
+            space = _grid_space(rng, points, norm)
+        if trial % 6 == 5:
+            k = int(rng.integers(3, 25))
+            m, n = ((1, k), (k, 1), (k, 2), (2, k))[trial // 6 % 4]
+
+        def measure(k):
+            support = rng.choice(points, size=k, replace=False).tolist()
+            if kind == "float":
+                w = rng.random(k)
+                return DiscreteMeasure(space, support, (w / w.sum()).tolist())
+            if kind == "empirical":
+                return empirical_sym(MultiSet(space, rng.choice(support, size=2 * k).tolist()))
+            den = int(kind.split()[1])
+            k = min(k, den)
+            counts = (rng.multinomial(den - k, [1 / k] * k) + 1).tolist()
+            return DiscreteMeasure.from_rational(space, support[:k], counts, den)
+
+        yield measure(m), measure(n)
+
+
+def test_engine_matches_its_reference_on_instances_beyond_the_pins():
+    # The engine skips the row entries, lifts and re-sweeps that cannot
+    # change what it settles; the reference does all of them. Plans and
+    # duals must agree bit for bit, ties included.
+    instances = list(_oracle_instances())
+    assert len(instances) == 150
+    for trial, (p, q) in enumerate(instances):
+        plan, exact = _transport_plan(p, q)
+        assert (sorted(plan), exact.v) == _reference_plan(p, q), trial
