@@ -75,8 +75,7 @@ class Coupling:
         """The coupling of a plan's entries (i, j, mass), with no dense array:
         the positions and masses that ``Coupling(p, q, matrix)`` keeps."""
         m, n = len(p.support), len(q.support)
-        entries = [(i * n + j, w) for i, j, w in sorted((i, j, float(mass)) for i, j, mass in plan)
-                   if w]
+        entries = [(k, w) for k, w in sorted((i * n + j, float(mass)) for i, j, mass in plan) if w]
         coupling = object.__new__(cls)
         coupling._store(p, q, (m, n),
                         np.array([k for k, _ in entries], dtype=np.min_scalar_type(m * n)),

@@ -534,11 +534,10 @@ def test_engine_keeps_its_plans_and_duals():
 
 
 def _reference_plan(p: DiscreteMeasure, q: DiscreteMeasure):
-    """The engine as it was before it bounded its row scans, skipped the lift
-    at distance 0 and kept per-source column lists: every dry supply scans
-    its whole row, every phase lifts every potential, and a dry source's
-    columns are found by a scan of all of ``best``. Returns sorted(plan) and
-    the right-side duals, as ``_transport_plan`` gives them."""
+    """A reference copy of the engine that does every step in full: every
+    dry supply scans its whole row, every phase lifts every potential, and a
+    dry source's columns are found by a scan of all of ``best``. Returns
+    sorted(plan) and the right-side duals, as ``_transport_plan`` gives them."""
     m, n = len(p.support), len(q.support)
     weights, den = _exact_weights(p, q)
     a, b = weights[:m], weights[m:]
