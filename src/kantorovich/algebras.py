@@ -85,7 +85,7 @@ class SimplexWeights:
 def c_lambda(algebra: ConvexAlgebra, lam: float, x, y) -> np.ndarray:
     """Binary convex combination lam*x + (1-lam)*y."""
     lam = float(lam)
-    if lam < 0.0 or lam > 1.0:
+    if not 0.0 <= lam <= 1.0:  # NaN too
         raise ValidationError("invariant.weights", f"lambda {lam!r} outside [0, 1]")
     x, y = algebra._points(x, y)
     return lam * x + (1.0 - lam) * y

@@ -48,7 +48,10 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     exact arithmetic, hence weights that are already multiples of 1/K come
     back unchanged with error exactly 0.
     """
-    eps = Fraction(float(epsilon))
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon):
+        raise ValidationError("invariant.weights", f"epsilon {epsilon!r} is not finite")
+    eps = Fraction(epsilon)
     if eps <= 0:
         raise ValidationError("invariant.weights", "epsilon must be positive")
     k = max(1, math.ceil(1 / eps))
@@ -64,7 +67,7 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     error = 0.0 if n == 1 else w1_flow(p, q).cost
     return ApproximationReport(
         target=p, approximant=q, w1_error=error, bound=float(bound),
-        params={"epsilon": float(epsilon), "denominator": k})
+        params={"epsilon": epsilon, "denominator": k})
 
 
 def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> ApproximationReport:

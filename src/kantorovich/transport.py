@@ -68,23 +68,8 @@ class Coupling:
     def __init__(self, p: DiscreteMeasure, q: DiscreteMeasure, matrix):
         dense = np.asarray(matrix, dtype=float)
         index = np.flatnonzero(dense).astype(np.min_scalar_type(dense.size))
-        self._store(p, q, dense.shape, index, dense.ravel()[index])
-
-    @classmethod
-    def _from_plan(cls, p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan) -> Coupling:
-        """The coupling of a plan's entries (i, j, mass), with no dense array:
-        the positions and masses that ``Coupling(p, q, matrix)`` keeps."""
-        m, n = len(p.support), len(q.support)
-        entries = [(k, w) for k, w in sorted((i * n + j, float(mass)) for i, j, mass in plan) if w]
-        coupling = object.__new__(cls)
-        coupling._store(p, q, (m, n),
-                        np.array([k for k, _ in entries], dtype=np.min_scalar_type(m * n)),
-                        np.array([w for _, w in entries], dtype=float))
-        return coupling
-
-    def _store(self, p, q, shape, index, mass) -> None:
-        for name, value in (("p", p), ("q", q), ("shape", shape),
-                            ("_index", index), ("_mass", mass)):
+        for name, value in (("p", p), ("q", q), ("shape", dense.shape),
+                            ("_index", index), ("_mass", dense.ravel()[index])):
             object.__setattr__(self, name, value)
 
     @property
@@ -336,9 +321,12 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
     dual = (sum(w * f[x] for x, w in zip(p.support, exact.a))
             - sum(w * f[y] for y, w in zip(q.support, exact.b)))
     gap = abs(primal * exact.den - dual * plan_den)
+    matrix = np.zeros((len(p.support), len(q.support)))
+    for i, j, mass in plan:
+        matrix[i, j] = float(mass)
 
     return TransportResult(cost=primal / (plan_den * exact.unit),
-                           coupling=Coupling._from_plan(p, q, plan),
+                           coupling=Coupling(p, q, matrix),
                            dual=DualPotential(points, [f[z] / exact.unit for z in points]),
                            gap=gap / (plan_den * exact.den * exact.unit), solver=solver)
 
@@ -453,11 +441,13 @@ def coupling_cost(c: Coupling) -> float:
 
 
 def validate_coupling(c: Coupling, tau_weight: float = TAU_WEIGHT) -> list[str]:
-    """Report marginal and positivity violations; empty list means valid."""
+    """Report non-finite, negative and marginal violations; empty list means valid."""
     matrix = c.matrix
     out: list[str] = []
     if matrix.shape != (len(c.p.support), len(c.q.support)):
         return [f"shape {matrix.shape} does not match supports"]
+    if not np.isfinite(matrix).all():
+        out.append("non-finite entry")
     if float(np.min(matrix)) < -tau_weight:
         out.append(f"negative entry {float(np.min(matrix))!r}")
     rows = np.sum(matrix, axis=1)

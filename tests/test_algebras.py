@@ -18,8 +18,10 @@ def test_c_lambda_convention_and_range():
     assert np.array_equal(c_lambda(alg, 1.0, x, y), x)
     assert np.array_equal(c_lambda(alg, 0.0, x, y), y)
     assert np.allclose(c_lambda(alg, 0.25, x, y), 0.25 * x + 0.75 * y)
-    with pytest.raises(ValidationError):
-        c_lambda(alg, 1.5, x, y)
+    for lam in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="outside") as info:
+            c_lambda(alg, lam, x, y)
+        assert info.value.code == "invariant.weights"
     with pytest.raises(ValidationError):
         c_lambda(alg, 0.5, x, np.array([0.0, 0.0, 0.0]))
 

@@ -26,8 +26,12 @@ def test_rationalize_exact_input_is_fixed_point(line4):
 
 
 def test_rationalize_rejects_bad_epsilon(line4):
-    with pytest.raises(ValidationError):
-        rationalize(dirac(line4, 0), 0.0)
+    for epsilon, message in ((0.0, "must be positive"), (-1.0, "must be positive"),
+                             (float("nan"), "not finite"), (float("inf"), "not finite"),
+                             (float("-inf"), "not finite")):
+        with pytest.raises(ValidationError, match=message) as info:
+            rationalize(dirac(line4, 0), epsilon)
+        assert info.value.code == "invariant.weights"
 
 
 def test_truncate_formula_matches_flow(line4):

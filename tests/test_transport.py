@@ -59,6 +59,16 @@ def test_validate_coupling_flags_bad_marginals(half_half, quarter_three):
     bad = Coupling(half_half, quarter_three,
                    np.array([[0.5, 0.0], [0.0, 0.5]]))
     assert validate_coupling(bad) != []
+    # NaN fails every comparison, so only the finiteness check reports it
+    nan, inf = float("nan"), float("inf")
+    for matrix, expected in (
+            ([[nan, 0.0], [0.0, 0.5]], ["non-finite entry"]),
+            ([[0.25, 0.25], [0.0, inf]],
+             ["non-finite entry", "row marginal off by inf", "column marginal off by inf"]),
+            ([[0.25, 0.25], [0.0, -inf]],
+             ["non-finite entry", "negative entry -inf", "row marginal off by inf",
+              "column marginal off by inf"])):
+        assert validate_coupling(Coupling(half_half, quarter_three, matrix)) == expected
 
 
 def test_dual_potential_certifies(half_half, quarter_three):
@@ -434,6 +444,22 @@ def test_results_keep_only_the_nonzero_plan():
     cols = float(np.max(np.abs(np.sum(dense, axis=0) - q.weights)))
     assert validate_coupling(coupling) == [f"row marginal off by {rows!r}",
                                            f"column marginal off by {cols!r}"]
+    # a plan entry whose mass rounds to 0.0 stores nothing: 2**-1100 moves
+    # from the point at 3 to the point at 2 of a line
+    line = FiniteMetricSpace(np.abs(np.subtract.outer([3.0, 0.0, 1.0, 2.0],
+                                                      [3.0, 0.0, 1.0, 2.0])))
+    p = DiscreteMeasure.from_rational(line, [0, 1], [1, 2**1100 - 1], 2**1100)
+    q = DiscreteMeasure.from_rational(line, [2, 3], [1, 1], 2)
+    plan = _transport_plan(p, q)[0]
+    assert (0, 1, Fraction(1, 2**1100)) in plan
+    dense = np.zeros((2, 2))
+    for i, j, mass in plan:
+        dense[i, j] = float(mass)
+    assert dense[0, 1] == 0.0
+    coupling = w1_flow(p, q).coupling
+    assert coupling._index.tolist() == [2, 3]
+    assert coupling._index.dtype == np.min_scalar_type(2 * 2)
+    assert coupling.matrix.tobytes() == dense.tobytes()
 
 
 def test_certificate_is_exactly_tight_on_integer_tables():
