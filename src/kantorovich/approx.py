@@ -48,7 +48,10 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     exact arithmetic, hence weights that are already multiples of 1/K come
     back unchanged with error exactly 0.
     """
-    epsilon = float(epsilon)
+    try:
+        epsilon = float(epsilon)
+    except OverflowError:  # an int beyond the floats, such as 10**400
+        epsilon = math.inf if epsilon > 0 else -math.inf
     if not math.isfinite(epsilon):
         raise ValidationError("invariant.weights", f"epsilon {epsilon!r} is not finite")
     eps = Fraction(epsilon)

@@ -11,10 +11,11 @@ Three primal routes are provided and cross-certified:
 
 A solve holds its exact numbers in one format: the weights as integers over
 their common denominator, from ``measures``, and the costs from the joint
-support to q's support as integers over one power of two. The engine's node
-potentials are optimal LP duals, and any optimal dual satisfies
-complementary slackness with any optimal plan, so every route reports them.
-The right-side duals v are folded into one 1-Lipschitz function on the joint
+support to q's support as integers over one power of two, which one build
+makes for every route. The engine's node potentials are optimal LP duals,
+and any optimal dual satisfies complementary slackness with any optimal
+plan, so every route reports them. The right-side duals v are folded into
+one 1-Lipschitz function on the joint
 support by the transform f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at
 the first point; that function and the duality gap of the reported plan
 against it are computed in the same integers and divided out at the end.
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, compress
-from operator import itemgetter, sub
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -82,10 +83,8 @@ class Coupling:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class DualPotential:
-    """A function on the joint support, 1-Lipschitz within tau_metric.
-
-    ``values`` is a read-only array of finite floats aligned with ``points``.
-    """
+    """A function on the joint support, 1-Lipschitz within tau_metric;
+    ``values`` is a read-only array of finite floats aligned with ``points``."""
 
     points: tuple[int, ...]
     values: np.ndarray
@@ -99,6 +98,8 @@ class DualPotential:
         object.__setattr__(self, "values", values)
 
     def value_at(self, index: int) -> float:
+        if index not in self.points:
+            raise ValidationError("invariant.dual", f"potential undefined at {index!r}")
         return float(self.values[self.points.index(index)])
 
 
@@ -124,20 +125,69 @@ def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
 _Plan = list[tuple[int, int, Fraction]]
 
 
-class _Exact(NamedTuple):
-    """The exact numbers of one solve, as integers over common scales."""
+class _Problem(NamedTuple):
+    """The exact numbers of one transport problem, as integers over common scales."""
 
     extra: list[int]  # q's support points outside p.support
     cost: list[list[int]]  # d(p.support[i], q.support[j]) * unit
+    far: np.ndarray  # d(extra[r], q.support[j]) * unit, of int64 or Python ints
     unit: int  # a power of two, over the rows of p.support and of extra
     a: list[int]  # p's weights * den
     b: list[int]  # q's weights * den
     den: int
-    v: list[int]  # the engine's right-side duals * unit
 
 
-def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exact]:
-    """Optimal plan between p and q, and the exact numbers it was solved in.
+# Tables of up to _SMALL entries skip numpy; larger ones are read _BLOCK entries at a time.
+_SMALL, _BLOCK = 32, 2048
+
+
+def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
+    """The weights of p and q as integers over one denominator, and the costs
+    from p's support and from extra to q's support times unit, the least
+    power of two that makes them integers, each row converted once. The rows
+    of extra serve the potential only; a larger unit scales every cost alike,
+    which keeps the engine's plan. unit is one over the least value of a
+    cost's lowest set bit, from np.frexp. If every cost * unit is below 2**63,
+    the table is read twice, _BLOCK entries at a time, and only its int64
+    copy is held whole; small tables, and wider ones such as one spanning
+    900 binades, take each float's integer ratio."""
+    m, n = len(p.support), len(q.support)
+    if m * n > MAX_SUPPORT_PAIRS:
+        raise ValidationError("invariant.size_cap",
+                              f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
+    weights, den = _exact_weights(p, q)
+    extra = sorted(set(q.support) - set(p.support))
+    rows = [*p.support, *extra]
+    step = max(1, _BLOCK // n)
+    starts = range(0, len(rows), step)
+
+    def read(s):
+        return p.space.dist.take(rows[s:s + step], axis=0).take(q.support, axis=1)
+
+    held, table = [read(0)] if len(starts) == 1 else None, None
+    if len(rows) * n > _SMALL:
+        k, top = 0, -math.inf
+        for block in held or map(read, starts):
+            mant, exp = np.frexp(block)
+            # cost = ints * 2**(exp - 53); bit 53 gives a zero cost the lowest bit 1.0
+            ints = np.ldexp(mant, 53).astype(np.int64) | (1 << 53)
+            lowest = np.ldexp(ints & -ints, exp - 53)
+            k = max(k, 1 - math.frexp(lowest.min())[1])
+            top = max(top, int(exp.max()))
+        if top + k <= 63:  # every |cost| * 2**k is below 2**63
+            unit, table = 1 << k, np.empty((len(rows), n), dtype=np.int64)
+            for s, block in zip(starts, held or map(read, starts)):
+                np.ldexp(block, k, out=table[s:s + step], casting="unsafe")
+    if table is None:
+        ratios = [list(map(float.as_integer_ratio, row))
+                  for block in held or map(read, starts) for row in block.tolist()]
+        unit = max(d for row in ratios for _, d in row)
+        table = np.array([[num * (unit // d) for num, d in row] for row in ratios], dtype=object)
+    return _Problem(extra, table[:m].tolist(), table[m:], unit, weights[:m], weights[m:], den)
+
+
+def _solve(problem: _Problem) -> tuple[_Plan, list[int]]:
+    """Optimal plan of a problem, and the engine's right-side duals times unit.
 
     Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin, *Network
     Flows*, ch. 9) in Python integers. Nodes 0..m-1 are supplies, m..m+n-1
@@ -146,8 +196,7 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     on reduced costs from every supply with mass left, stops at the first
     demand with a deficit, lifts each potential by min(distance, target
     distance) and augments along the path. Heap ties break by node index,
-    which makes the plan deterministic. At the end pot[m + j] is an optimal
-    dual v_j times the cost scale.
+    which makes the plan deterministic. The duals are the final pot[m:].
 
     Every supply with mass left is a source and settles first, at distance
     0, so its potential stays 0 until it runs dry. The sources' sweep of
@@ -176,27 +225,14 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
     of the integer demand, so the phases end. Their work grows with the
     support pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
     """
-    m, n = len(p.support), len(q.support)
-    if m * n > MAX_SUPPORT_PAIRS:
-        raise ValidationError("invariant.size_cap",
-                              f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
-    weights, den = _exact_weights(p, q)
-    a, b = weights[:m], weights[m:]
+    cost, a, b = problem.cost, problem.a, problem.b
+    m, n = len(a), len(b)
     # Float weights sum to 1 only up to a few ulps, and supply must equal
     # demand exactly: each side is scaled by the other side's sum.
     g = math.gcd(sum(a), sum(b))
     supply = [w * (sum(b) // g) for w in a]
     demand = [w * (sum(a) // g) for w in b]
-    scale = den * (sum(b) // g)
-    # The rows of extra serve the potential only, and are read one at a time
-    # here and in _assemble. A larger power of two from them scales every
-    # cost alike, which keeps the Dijkstra order, its ties and so the plan.
-    extra = sorted(set(q.support) - set(p.support))
-    columns = np.array(q.support)
-    table = [_ratios(p.space, x, columns) for x in p.support]
-    unit = max(max(map(itemgetter(1), row))
-               for row in chain(table, (_ratios(p.space, z, columns) for z in extra)))
-    cost = [_scaled(row, unit) for row in table]
+    scale = problem.den * (sum(b) // g)
     pot = [0] * (m + n)
     cols = list(zip(*cost))
     live = list(range(m))  # the sources, in index order
@@ -289,46 +325,32 @@ def _transport_plan(p: DiscreteMeasure, q: DiscreteMeasure) -> tuple[_Plan, _Exa
                 owned[best[j]].append(j)
 
     plan = [(i, j, Fraction(f, scale)) for j, col in enumerate(into) for i, f in col.items()]
-    return plan, _Exact(extra, cost, unit, a, b, den, pot[m:])
+    return plan, pot[m:]
 
 
-def _ratios(space, z: int, columns: np.ndarray) -> list[tuple[int, int]]:
-    """Row z of the cost table against columns, as exact fractions (num, den)."""
-    return list(map(float.as_integer_ratio, space.dist[z].take(columns).tolist()))
-
-
-def _scaled(row: list[tuple[int, int]], unit: int) -> list[int]:
-    """A row of exact costs times unit, as integers."""
-    return [num * (unit // d) for num, d in row]
-
-
-def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
-              exact: _Exact, solver: str) -> TransportResult:
-    """Result for an optimal plan and the engine's optimal right-side duals,
+def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, v: list[int],
+              problem: _Problem, solver: str) -> TransportResult:
+    """Result for an optimal plan and the engine's optimal right-side duals v,
     with the potential and the duality gap computed in the integers of
-    ``exact`` up to one correctly rounded division each (int / int)."""
-    columns = np.array(q.support)
-    rows = chain(exact.cost, (_scaled(_ratios(p.space, z, columns), exact.unit)
-                              for z in exact.extra))
-    raw = {z: min(map(sub, row, exact.v))
-           for z, row in zip((*p.support, *exact.extra), rows)}
+    ``problem`` up to one correctly rounded division each (int / int)."""
+    rows = chain(problem.cost, map(np.ndarray.tolist, problem.far))
+    raw = {z: min(map(sub, row, v)) for z, row in zip((*p.support, *problem.extra), rows)}
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}
     # The plan's cost times plan_den * unit, its dual value times den * unit.
     plan_den = math.lcm(*(mass.denominator for _, _, mass in plan))
-    primal = sum(mass.numerator * (plan_den // mass.denominator) * exact.cost[i][j]
+    primal = sum(mass.numerator * (plan_den // mass.denominator) * problem.cost[i][j]
                  for i, j, mass in plan)
-    dual = (sum(w * f[x] for x, w in zip(p.support, exact.a))
-            - sum(w * f[y] for y, w in zip(q.support, exact.b)))
-    gap = abs(primal * exact.den - dual * plan_den)
+    dual = (sum(w * f[x] for x, w in zip(p.support, problem.a))
+            - sum(w * f[y] for y, w in zip(q.support, problem.b)))
+    gap = abs(primal * problem.den - dual * plan_den)
     matrix = np.zeros((len(p.support), len(q.support)))
     for i, j, mass in plan:
         matrix[i, j] = float(mass)
-
-    return TransportResult(cost=primal / (plan_den * exact.unit),
+    return TransportResult(cost=primal / (plan_den * problem.unit),
                            coupling=Coupling(p, q, matrix),
-                           dual=DualPotential(points, [f[z] / exact.unit for z in points]),
-                           gap=gap / (plan_den * exact.den * exact.unit), solver=solver)
+                           dual=DualPotential(points, [f[z] / problem.unit for z in points]),
+                           gap=gap / (plan_den * problem.den * problem.unit), solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +360,8 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan,
 def w1_flow(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     """Exact W1 from the transport engine; works for any weight pattern."""
     _require_same_space(p, q)
-    return _assemble(p, q, *_transport_plan(p, q), "flow")
+    problem = _problem(p, q)
+    return _assemble(p, q, *_solve(problem), problem, "flow")
 
 
 def _expansion_size(p: DiscreteMeasure) -> int | None:
@@ -348,9 +371,7 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
     if p.den is not None:
         return p.den
     w0 = float(p.weights[0])
-    if any(abs(float(w) - w0) > TAU_WEIGHT for w in p.weights):
-        return None
-    return len(p.support)
+    return None if any(abs(float(w) - w0) > TAU_WEIGHT for w in p.weights) else len(p.support)
 
 
 def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
@@ -378,14 +399,15 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     if n > MAX_ASSIGNMENT_SIZE:
         raise ValidationError("invariant.size_cap",
                               f"common multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
-    exact = _transport_plan(p, q)[1]
+    problem = _problem(p, q)
+    v = _solve(problem)[1]
     left = _uniform_expansion(p) * (n // sizes[0])
     right = _uniform_expansion(q) * (n // sizes[1])
     table = p.space.dist[np.ix_(p.support, q.support)]
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
     pairs = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
     plan = [(i, j, Fraction(k, n)) for (i, j), k in pairs.items()]
-    return _assemble(p, q, plan, exact, "assignment")
+    return _assemble(p, q, plan, v, problem, "assignment")
 
 
 def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -450,34 +472,26 @@ def validate_coupling(c: Coupling, tau_weight: float = TAU_WEIGHT) -> list[str]:
         out.append("non-finite entry")
     if float(np.min(matrix)) < -tau_weight:
         out.append(f"negative entry {float(np.min(matrix))!r}")
-    rows = np.sum(matrix, axis=1)
-    cols = np.sum(matrix, axis=0)
-    worst_row = float(np.max(np.abs(rows - c.p.weights)))
-    worst_col = float(np.max(np.abs(cols - c.q.weights)))
-    if worst_row > tau_weight:
-        out.append(f"row marginal off by {worst_row!r}")
-    if worst_col > tau_weight:
-        out.append(f"column marginal off by {worst_col!r}")
+    for name, axis, weights in (("row", 1, c.p.weights), ("column", 0, c.q.weights)):
+        worst = float(np.max(np.abs(np.sum(matrix, axis=axis) - weights)))
+        if worst > tau_weight:
+            out.append(f"{name} marginal off by {worst!r}")
     return out
 
 
 def w1_dual_value(p: DiscreteMeasure, q: DiscreteMeasure, f: DualPotential) -> float:
-    """E_p[f] - E_q[f] for a potential on the joint support.
-
-    Rejects potentials that break the Lipschitz invariant on the joint
-    support (slack tau_metric).
-    """
+    """E_p[f] - E_q[f] for a potential on the joint support; rejects one that
+    breaks the Lipschitz invariant there (slack tau_metric)."""
     _require_same_space(p, q)
     fmap = dict(zip(f.points, f.values.tolist()))
     needed = set(p.support) | set(q.support)
     missing = needed - set(f.points)
     if missing:
         raise ValidationError("invariant.dual", f"potential undefined at {sorted(missing)}")
-    table = p.space.dist
     pts = sorted(needed)
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
-            if abs(fmap[x] - fmap[y]) > float(table[x, y]) + TAU_METRIC:
+            if abs(fmap[x] - fmap[y]) > float(p.space.dist[x, y]) + TAU_METRIC:
                 raise ValidationError("invariant.dual",
                                       f"potential is not 1-Lipschitz at pair ({x}, {y})")
     plus = math.fsum(w * fmap[x] for x, w in zip(p.support, p.weights))

@@ -28,7 +28,7 @@ def test_rationalize_exact_input_is_fixed_point(line4):
 def test_rationalize_rejects_bad_epsilon(line4):
     for epsilon, message in ((0.0, "must be positive"), (-1.0, "must be positive"),
                              (float("nan"), "not finite"), (float("inf"), "not finite"),
-                             (float("-inf"), "not finite")):
+                             (float("-inf"), "not finite"), (10**400, "not finite")):
         with pytest.raises(ValidationError, match=message) as info:
             rationalize(dirac(line4, 0), epsilon)
         assert info.value.code == "invariant.weights"

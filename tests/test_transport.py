@@ -22,7 +22,7 @@ from kantorovich.samplers import (random_euclidean_space, random_measure, random
                                   random_rational_pair, rng_from)
 from kantorovich.tolerances import (MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SUPPORT_PAIRS,
                                     TAU_SOLVER)
-from kantorovich.transport import _transport_plan
+from kantorovich.transport import _problem, _solve
 
 
 def test_hand_checked_line_instance(half_half, quarter_three):
@@ -425,7 +425,7 @@ def test_results_keep_only_the_nonzero_plan():
     q = DiscreteMeasure(space, list(range(40, 80)), [1 / 40] * 40)
     result = w1_flow(p, q)
     plan = np.zeros((40, 40))
-    for i, j, mass in _transport_plan(p, q)[0]:
+    for i, j, mass in _solve(_problem(p, q))[0]:
         plan[i, j] = float(mass)
     matrix = result.coupling.matrix
     assert not matrix.flags.writeable
@@ -434,6 +434,9 @@ def test_results_keep_only_the_nonzero_plan():
     assert coupling_cost(result.coupling) == pytest.approx(result.cost, abs=1e-12)
     assert not result.dual.values.flags.writeable
     assert result.dual.value_at(0) == 0.0
+    with pytest.raises(ValidationError, match="undefined at 3") as info:
+        DualPotential((0, 1, 2), [0.0, 1.0, 2.0]).value_at(3)
+    assert info.value.code == "invariant.dual"
     # any dense array round-trips bit for bit, and both checks read it whole
     dense = plan + 1e-3 * rng.random((40, 40)) * (rng.random((40, 40)) < 0.5)
     coupling = Coupling(p, q, dense)
@@ -450,7 +453,7 @@ def test_results_keep_only_the_nonzero_plan():
                                                       [3.0, 0.0, 1.0, 2.0])))
     p = DiscreteMeasure.from_rational(line, [0, 1], [1, 2**1100 - 1], 2**1100)
     q = DiscreteMeasure.from_rational(line, [2, 3], [1, 1], 2)
-    plan = _transport_plan(p, q)[0]
+    plan = _solve(_problem(p, q))[0]
     assert (0, 1, Fraction(1, 2**1100)) in plan
     dense = np.zeros((2, 2))
     for i, j, mass in plan:
@@ -517,6 +520,64 @@ def test_potential_rows_are_reduced_one_at_a_time():
     assert peak < 500_000, peak
 
 
+# Cost entries of five kinds: zeros, integers, floats with full mantissas,
+# subnormals, and odd mantissas over some 900 binades. A table of one kind
+# fits in int64 scaled, except the last; most tables of two kinds do not.
+_COSTS = {"zero": st.just(0.0), "integer": st.integers(0, 2**40).map(float),
+          "float": st.floats(0.5, 1e3), "subnormal": st.floats(0.0, 2.0**-1022),
+          "binades": st.builds(math.ldexp, st.integers(1, 2**53 - 1).map(float),
+                               st.integers(-500, 400))}
+
+
+def _check_integer_costs(table, left, right):
+    """_problem's integer costs and unit against each cost's integer ratio
+    over their common denominator."""
+    space = FiniteMetricSpace(table)
+    p = DiscreteMeasure.from_rational(space, left, [1] * len(left), len(left))
+    q = DiscreteMeasure.from_rational(space, right, [1] * len(right), len(right))
+    problem = _problem(p, q)
+    assert problem.extra == sorted(set(q.support) - set(p.support))
+    ratios = [[float(space.dist[z, y]).as_integer_ratio() for y in q.support]
+              for z in (*p.support, *problem.extra)]
+    unit = max(d for row in ratios for _, d in row)
+    assert problem.unit == unit
+    assert [*problem.cost, *map(np.ndarray.tolist, problem.far)] == \
+        [[num * (unit // d) for num, d in row] for row in ratios]
+    return problem
+
+
+@st.composite
+def _cost_instances(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COSTS)), min_size=1, max_size=2, unique=True))
+    n = draw(st.integers(4, 12))
+    table = draw(st.lists(st.one_of(*(_COSTS[kind] for kind in kinds)),
+                          min_size=n * n, max_size=n * n))
+    points = draw(st.permutations(range(n)))
+    m, k = draw(st.integers(1, n)), draw(st.integers(0, n - 1))
+    return np.reshape(table, (n, n)), points[:m], points[k:]
+
+
+@given(_cost_instances())
+@settings(max_examples=150, deadline=None)
+def test_problem_costs_are_the_integer_ratios_over_one_unit(case):
+    _check_integer_costs(*case)
+
+
+def test_problem_costs_fill_int64_up_to_two_to_the_63():
+    # One low cost sets unit, and the top cost scales to just below 2**63,
+    # which int64 holds, or to 2**63 or beyond, which it does not. A table of
+    # subnormals fits, over unit 2**1074.
+    for top, low, dtype in ((2.0**62 - 512, 0.5, np.int64), (2.0**62, 0.5, object),
+                            (2.0**-1022, 2.0**-1074, np.int64),
+                            (2.0**-11, 2.0**-1074, object)):
+        table = np.full((12, 12), top)
+        table[3, 9] = low
+        problem = _check_integer_costs(table, list(range(6)), list(range(4, 12)))
+        assert problem.unit == low.as_integer_ratio()[1]
+        assert problem.far.dtype == dtype and problem.far.shape == (6, 8)
+        assert max(map(max, problem.cost)) == Fraction(top) * problem.unit
+
+
 def _pinned_instances():
     """48 engine instances: l1, linf and l2 grids, exact weights over 60 and
     360, float weights, empirical measures of multisets with repeated points,
@@ -554,8 +615,8 @@ def test_engine_keeps_its_plans_and_duals():
     assert len(instances) == 48
     digest = hashlib.sha256()
     for p, q in instances:
-        plan, exact = _transport_plan(p, q)
-        digest.update(repr((sorted(plan), exact.v)).encode())
+        plan, v = _solve(_problem(p, q))
+        digest.update(repr((sorted(plan), v)).encode())
     assert digest.hexdigest()[:16] == "a95497fb45a8910d"
 
 
@@ -563,7 +624,7 @@ def _reference_plan(p: DiscreteMeasure, q: DiscreteMeasure):
     """A reference copy of the engine that does every step in full: every
     dry supply scans its whole row, every phase lifts every potential, and a
     dry source's columns are found by a scan of all of ``best``. Returns
-    sorted(plan) and the right-side duals, as ``_transport_plan`` gives them."""
+    sorted(plan) and the right-side duals, as ``_solve`` gives them."""
     m, n = len(p.support), len(q.support)
     weights, den = _exact_weights(p, q)
     a, b = weights[:m], weights[m:]
@@ -691,5 +752,5 @@ def test_engine_matches_its_reference_on_instances_beyond_the_pins():
     instances = list(_oracle_instances())
     assert len(instances) == 150
     for trial, (p, q) in enumerate(instances):
-        plan, exact = _transport_plan(p, q)
-        assert (sorted(plan), exact.v) == _reference_plan(p, q), trial
+        plan, v = _solve(_problem(p, q))
+        assert (sorted(plan), v) == _reference_plan(p, q), trial
