@@ -620,6 +620,22 @@ def test_engine_keeps_its_plans_and_duals():
     assert digest.hexdigest()[:16] == "a95497fb45a8910d"
 
 
+def test_results_keep_their_bits():
+    # The bits of every reported number: cost, gap, potential and coupling
+    # masses, from the auto and flow routes on the pinned instances. Each
+    # field is hashed as text or raw float bytes, never pickled, so the
+    # digest does not depend on pickle's protocol.
+    digest = hashlib.sha256()
+    for p, q in _pinned_instances():
+        for solver in ("auto", "flow"):
+            result = wasserstein1(p, q, solver)
+            digest.update(f"{result.cost.hex()} {result.gap.hex()} {result.solver} "
+                          f"{result.dual.points}".encode())
+            digest.update(result.dual.values.tobytes())
+            digest.update(result.coupling.matrix.tobytes())
+    assert digest.hexdigest()[:16] == "f72195cb8f05c377"
+
+
 def _reference_plan(p: DiscreteMeasure, q: DiscreteMeasure):
     """A reference copy of the engine that does every step in full: every
     dry supply scans its whole row, every phase lifts every potential, and a
