@@ -10,15 +10,15 @@ Three primal routes are provided and cross-certified:
                      up to MAX_BRUTE_SIZE; the oracle for the other two.
 
 A solve holds its exact numbers in one format: the weights as integers over
-their common denominator, from ``measures``, and the costs from the joint
+their common denominator, from ``measures``, the costs from the joint
 support to q's support as integers over one power of two, which one build
-makes for every route. The engine's node potentials are optimal LP duals,
-and any optimal dual satisfies complementary slackness with any optimal
-plan, so every route reports them. The right-side duals v are folded into
-one 1-Lipschitz function on the joint
-support by the transform f(z) = min_j (d(z, y_j) - v_j), normalized to 0 at
-the first point; that function and the duality gap of the reported plan
-against it are computed in the same integers and divided out at the end.
+makes for every route, and the plan as integers over one denominator. The
+engine's node potentials are optimal LP duals, and any optimal dual
+satisfies complementary slackness with any optimal plan, so every route
+reports them. The right-side duals v are folded into one 1-Lipschitz
+function on the joint support by f(z) = min_j (d(z, y_j) - v_j), normalized
+to 0 at the first point; the cost, that function, the duality gap and the
+coupling's masses are computed in these integers, each divided once at the end.
 
 Results keep no m x n array. A coupling stores only its nonzero entries:
 m + n - 1 where no ties in the cost table make the optimum degenerate, a few
@@ -31,7 +31,6 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import chain, compress
 from operator import sub
 from typing import NamedTuple
@@ -120,9 +119,9 @@ def _require_same_space(p: DiscreteMeasure, q: DiscreteMeasure) -> None:
 # ---------------------------------------------------------------------------
 # exact transport engine
 
-# An optimal plan as its nonzero entries (i, j, mass): mass moved from
-# p.support[i] to q.support[j].
-_Plan = list[tuple[int, int, Fraction]]
+# An optimal plan as its nonzero entries {(i, j): k}: k / den of the mass
+# moves from p.support[i] to q.support[j], for the den that comes with it.
+_Plan = dict[tuple[int, int], int]
 
 
 class _Problem(NamedTuple):
@@ -186,8 +185,8 @@ def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
     return _Problem(extra, table[:m].tolist(), table[m:], unit, weights[:m], weights[m:], den)
 
 
-def _solve(problem: _Problem) -> tuple[_Plan, list[int]]:
-    """Optimal plan of a problem, and the engine's right-side duals times unit.
+def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
+    """Optimal plan as integer masses, their one denominator, and the right-side duals * unit.
 
     Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin, *Network
     Flows*, ch. 9) in Python integers. Nodes 0..m-1 are supplies, m..m+n-1
@@ -324,29 +323,26 @@ def _solve(problem: _Problem) -> tuple[_Plan, list[int]]:
                 low[j] = cols[j][best[j]]
                 owned[best[j]].append(j)
 
-    plan = [(i, j, Fraction(f, scale)) for j, col in enumerate(into) for i, f in col.items()]
-    return plan, pot[m:]
+    return {(i, j): f for j, col in enumerate(into) for i, f in col.items()}, scale, pot[m:]
 
 
-def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, v: list[int],
-              problem: _Problem, solver: str) -> TransportResult:
-    """Result for an optimal plan and the engine's optimal right-side duals v,
-    with the potential and the duality gap computed in the integers of
-    ``problem`` up to one correctly rounded division each (int / int)."""
+def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int,
+              v: list[int], problem: _Problem, solver: str) -> TransportResult:
+    """Result for an optimal plan over plan_den and the engine's optimal
+    right-side duals v, every number computed in the integers of ``problem``
+    and the plan up to one correctly rounded division each (int / int)."""
     rows = chain(problem.cost, map(np.ndarray.tolist, problem.far))
     raw = {z: min(map(sub, row, v)) for z, row in zip((*p.support, *problem.extra), rows)}
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}
     # The plan's cost times plan_den * unit, its dual value times den * unit.
-    plan_den = math.lcm(*(mass.denominator for _, _, mass in plan))
-    primal = sum(mass.numerator * (plan_den // mass.denominator) * problem.cost[i][j]
-                 for i, j, mass in plan)
+    primal = sum(k * problem.cost[i][j] for (i, j), k in plan.items())
     dual = (sum(w * f[x] for x, w in zip(p.support, problem.a))
             - sum(w * f[y] for y, w in zip(q.support, problem.b)))
     gap = abs(primal * problem.den - dual * plan_den)
     matrix = np.zeros((len(p.support), len(q.support)))
-    for i, j, mass in plan:
-        matrix[i, j] = float(mass)
+    for (i, j), k in plan.items():
+        matrix[i, j] = k / plan_den
     return TransportResult(cost=primal / (plan_den * problem.unit),
                            coupling=Coupling(p, q, matrix),
                            dual=DualPotential(points, [f[z] / problem.unit for z in points]),
@@ -400,14 +396,13 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
         raise ValidationError("invariant.size_cap",
                               f"common multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
     problem = _problem(p, q)
-    v = _solve(problem)[1]
+    v = _solve(problem)[2]
     left = _uniform_expansion(p) * (n // sizes[0])
     right = _uniform_expansion(q) * (n // sizes[1])
     table = p.space.dist[np.ix_(p.support, q.support)]
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
-    pairs = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
-    plan = [(i, j, Fraction(k, n)) for (i, j), k in pairs.items()]
-    return _assemble(p, q, plan, v, problem, "assignment")
+    plan = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
+    return _assemble(p, q, plan, n, v, problem, "assignment")
 
 
 def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

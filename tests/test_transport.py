@@ -417,6 +417,13 @@ def test_results_compare_and_hash_by_identity(half_half, quarter_three):
     assert len({result, again, result.coupling, result.dual}) == 4
 
 
+def _fraction_plan(p: DiscreteMeasure, q: DiscreteMeasure):
+    """The engine's plan as entries (i, j, mass) with ``Fraction`` masses,
+    the form the pinned digests hash, and its right-side duals."""
+    plan, den, v = _solve(_problem(p, q))
+    return [(i, j, Fraction(k, den)) for (i, j), k in plan.items()], v
+
+
 def test_results_keep_only_the_nonzero_plan():
     rng = rng_from(18, 0)
     space = _grid_space(rng, 80, "l1")
@@ -425,7 +432,7 @@ def test_results_keep_only_the_nonzero_plan():
     q = DiscreteMeasure(space, list(range(40, 80)), [1 / 40] * 40)
     result = w1_flow(p, q)
     plan = np.zeros((40, 40))
-    for i, j, mass in _solve(_problem(p, q))[0]:
+    for i, j, mass in _fraction_plan(p, q)[0]:
         plan[i, j] = float(mass)
     matrix = result.coupling.matrix
     assert not matrix.flags.writeable
@@ -453,7 +460,7 @@ def test_results_keep_only_the_nonzero_plan():
                                                       [3.0, 0.0, 1.0, 2.0])))
     p = DiscreteMeasure.from_rational(line, [0, 1], [1, 2**1100 - 1], 2**1100)
     q = DiscreteMeasure.from_rational(line, [2, 3], [1, 1], 2)
-    plan = _solve(_problem(p, q))[0]
+    plan = _fraction_plan(p, q)[0]
     assert (0, 1, Fraction(1, 2**1100)) in plan
     dense = np.zeros((2, 2))
     for i, j, mass in plan:
@@ -615,7 +622,7 @@ def test_engine_keeps_its_plans_and_duals():
     assert len(instances) == 48
     digest = hashlib.sha256()
     for p, q in instances:
-        plan, v = _solve(_problem(p, q))
+        plan, v = _fraction_plan(p, q)
         digest.update(repr((sorted(plan), v)).encode())
     assert digest.hexdigest()[:16] == "a95497fb45a8910d"
 
@@ -640,7 +647,7 @@ def _reference_plan(p: DiscreteMeasure, q: DiscreteMeasure):
     """A reference copy of the engine that does every step in full: every
     dry supply scans its whole row, every phase lifts every potential, and a
     dry source's columns are found by a scan of all of ``best``. Returns
-    sorted(plan) and the right-side duals, as ``_solve`` gives them."""
+    sorted(plan) and the right-side duals, as ``_fraction_plan`` gives them."""
     m, n = len(p.support), len(q.support)
     weights, den = _exact_weights(p, q)
     a, b = weights[:m], weights[m:]
@@ -768,5 +775,5 @@ def test_engine_matches_its_reference_on_instances_beyond_the_pins():
     instances = list(_oracle_instances())
     assert len(instances) == 150
     for trial, (p, q) in enumerate(instances):
-        plan, v = _solve(_problem(p, q))
+        plan, v = _fraction_plan(p, q)
         assert (sorted(plan), v) == _reference_plan(p, q), trial
