@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _exact_weights
 from .monad import empirical_sym
-from .power import MultiSet
+from .power import MultiSet, sample_size
 from .samplers import RNG_ALGORITHM, rng_from
 from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 from .transport import w1_flow, wasserstein1
@@ -108,15 +108,6 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
         params={"center": int(center), "radius": float(radius)})
 
 
-def _sample_size(size: int) -> int:
-    if size <= 0:
-        raise ValidationError("invariant.tuple", "sample size must be positive")
-    if size > MAX_SAMPLE_SIZE:
-        raise ValidationError("invariant.size_cap",
-                              f"sample size {size} exceeds cap {MAX_SAMPLE_SIZE}")
-    return size
-
-
 def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:
     """``size`` independent draws from p by inverse CDF over the canonical
     support order; the size is checked by the caller."""
@@ -128,7 +119,7 @@ def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> Mul
 def sample_empirical(p: DiscreteMeasure, size: int, seed: int = 0) -> MultiSet:
     """Draw an empirical sample of the given size by inverse CDF over the
     canonical support order (generator: numpy PCG64)."""
-    return _inverse_cdf(p, _sample_size(size), rng_from(seed))
+    return _inverse_cdf(p, sample_size(size), rng_from(seed))
 
 
 def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> list[dict]:
@@ -141,7 +132,7 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
         raise ValidationError("invariant.weights", "trials must be positive")
     if trials > MAX_TRIALS:
         raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
-    sizes = [_sample_size(int(n)) for n in sizes]  # all of them, before the first draw
+    sizes = [sample_size(int(n)) for n in sizes]  # all of them, before the first draw
     if trials * sum(sizes) > MAX_SAMPLE_SIZE:
         raise ValidationError("invariant.size_cap", f"{trials} trials of sizes {sizes} draw "
                               f"{trials * sum(sizes)} points, over cap {MAX_SAMPLE_SIZE}")

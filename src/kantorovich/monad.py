@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
 from .measures import (DiscreteMeasure, _comparable, _compose, _exact_or_float, _fractions,
                        _weights, dirac, mixture, weight_discrepancy)
-from .power import MultiSet, PointTuple, multiset_distance
+from .power import MultiSet, PointTuple, multiset_distance, sample_size
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
                        sweep)
 from .spaces import FiniteMetricSpace, same_space
@@ -105,7 +105,7 @@ def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiS
     if p.den is None:
         raise ValidationError("invariant.measure", "measure has no exact weights")
     den = p.den
-    n = den if size is None else int(size)
+    n = sample_size(den if size is None else int(size))
     if n % den != 0:
         raise ValidationError("invariant.measure", f"size {n} is not a multiple of {den}")
     return MultiSet(p.space, [x for x, k in zip(p.support, p.nums) for _ in range(k * (n // den))])

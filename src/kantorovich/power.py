@@ -16,7 +16,17 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .spaces import FiniteMetricSpace, same_space
-from .tolerances import MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE
+from .tolerances import MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SAMPLE_SIZE
+
+
+def sample_size(size: int) -> int:
+    """The entries of one sample or multiset, refused unless in 1..MAX_SAMPLE_SIZE."""
+    if size <= 0:
+        raise ValidationError("invariant.tuple", "sample size must be positive")
+    if size > MAX_SAMPLE_SIZE:
+        raise ValidationError("invariant.size_cap",
+                              f"sample size {size} exceeds cap {MAX_SAMPLE_SIZE}")
+    return size
 
 
 def _check_entries(space: FiniteMetricSpace, entries: Sequence[int]) -> tuple[int, ...]:
@@ -122,9 +132,8 @@ def quotient(t: PointTuple) -> MultiSet:
 
 
 def repeat_embedding(ms: MultiSet, n: int) -> MultiSet:
-    """n-fold repetition of every entry; an isometric embedding of multisets."""
-    if n <= 0:
-        raise ValidationError("invariant.tuple", "repetition factor must be positive")
+    """n-fold repetition of every entry, n > 0; an isometric embedding of multisets."""
+    sample_size(len(ms) * n)
     return MultiSet(ms.space, ms.entries * n)
 
 

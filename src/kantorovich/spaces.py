@@ -236,7 +236,10 @@ def convex_combination_space(lam: Sequence[float],
 
 def product_index(sizes: Sequence[int], multi_index: Sequence[int]) -> int:
     """Row-major flat index of a multi-index, matching the product carriers."""
-    return int(np.ravel_multi_index(tuple(int(i) for i in multi_index), tuple(sizes)))
+    index, shape = tuple(int(i) for i in multi_index), tuple(int(n) for n in sizes)
+    if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
+        raise ValidationError("invariant.map", f"multi-index {index} outside shape {shape}")
+    return int(np.ravel_multi_index(index, shape))
 
 
 def check_short(f: Sequence[int], x: FiniteMetricSpace, y: FiniteMetricSpace,

@@ -24,7 +24,8 @@ AUTO_ASSIGNMENT_SIZE = 256
 MAX_ASSIGNMENT_SIZE = 2048
 MAX_BRUTE_SIZE = 8
 
-# Largest sample a single draw may ask for (``sample --size``, study sizes).
+# Largest sample a single draw may ask for (``sample --size``, study sizes),
+# and the most entries ``repeat_embedding`` and ``multiset_from_measure`` build.
 MAX_SAMPLE_SIZE = 1_000_000
 
 # Budgets of the randomized checks: trials of one check (the law suite takes

@@ -1,13 +1,18 @@
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+
 from kantorovich import (DiscreteMeasure, MultiSet,
-                         NestedMeasure, PointTuple, SimplexWeights, check_expectation_flatten,
+                         NestedMeasure, PointTuple, SimplexWeights, ValidationError,
+                         check_expectation_flatten,
                          check_iota_isometry, check_monad_laws,
                          check_ppx_square, dirac, dirac_kernel, empirical,
                          empirical_sym, expectation, kernel_pushforward,
                          measures_equal, mixture, multiset_from_measure, nested_dirac,
                          nested_expectation_outer, nested_weight_discrepancy,
                          operad_compose, wasserstein1)
+from kantorovich import power
 from kantorovich.samplers import (random_measure, random_metric_space,
                                   random_nested_multiset,
                                   rng_from, simplex_fractions)
@@ -31,6 +36,31 @@ def test_multiset_from_measure_round_trips(line3):
     bigger = multiset_from_measure(p, size=8)
     assert len(bigger.entries) == 8
     assert measures_equal(empirical_sym(bigger), p, 0.0)
+
+
+def test_multiset_from_measure_refuses_oversized_multisets_before_building(line3, monkeypatch):
+    # A size at the cap is built and one above it is refused, checked at a
+    # small cap first, so a missing check fails here and not by running out
+    # of memory below.
+    half = DiscreteMeasure.from_rational(line3, [0, 2], [1, 1], 2)
+    monkeypatch.setattr(power, "MAX_SAMPLE_SIZE", 6)
+    assert multiset_from_measure(half, 6).entries == (0, 0, 0, 2, 2, 2)
+    with pytest.raises(ValidationError, match="sample size 8 exceeds cap 6"):
+        multiset_from_measure(half, 8)
+    monkeypatch.undo()
+    # A denominator of 2**1100, or a requested size of 10**9, would need that
+    # many entries; the refusal comes before any of them is built.
+    huge = DiscreteMeasure.from_rational(line3, [0, 1], [1, 2**1100 - 1], 2**1100)
+    tracemalloc.start()
+    try:
+        for p, size in ((huge, None), (half, 10**9)):
+            with pytest.raises(ValidationError, match="exceeds cap 1000000") as info:
+                multiset_from_measure(p, size)
+            assert info.value.code == "invariant.size_cap"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_empirical_is_isometric_embedding():

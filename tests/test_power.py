@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from kantorovich import (FinUnifMap, MultiSet, PointTuple,
                          ValidationError, multiset_distance,
-                         multiset_distance_bruteforce, precompose, quotient,
+                         multiset_distance_bruteforce, power, precompose, quotient,
                          repeat_embedding, tuple_distance, validate_finunif)
 from kantorovich.samplers import random_finunif, random_metric_space, rng_from
 from kantorovich.tolerances import MAX_ASSIGNMENT_SIZE
@@ -78,6 +79,32 @@ def test_repeat_embedding_is_isometric(line4):
     for k in (2, 3, 4):
         assert multiset_distance(repeat_embedding(a, k), repeat_embedding(b, k)) \
             == pytest.approx(base, abs=1e-12)
+
+
+def test_repeat_embedding_refuses_oversized_multisets_before_building(line4, monkeypatch):
+    # The cap counts the entries of the result, not the repetition factor.
+    # It is checked at a small cap first, so a missing check fails here and
+    # not by running out of memory below.
+    monkeypatch.setattr(power, "MAX_SAMPLE_SIZE", 6)
+    assert repeat_embedding(MultiSet(line4, [0, 3]), 3).entries == (0, 0, 0, 3, 3, 3)
+    with pytest.raises(ValidationError, match="sample size 9 exceeds cap 6") as info:
+        repeat_embedding(MultiSet(line4, [0, 1, 3]), 3)
+    assert info.value.code == "invariant.size_cap"
+    for factor in (0, -1):
+        with pytest.raises(ValidationError, match="must be positive") as info:
+            repeat_embedding(MultiSet(line4, [0, 3]), factor)
+        assert info.value.code == "invariant.tuple"
+    monkeypatch.undo()
+    # 10**9 copies of one entry would take gigabytes; the refusal comes first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="sample size 1000000000 exceeds") as info:
+            repeat_embedding(MultiSet(line4, [0]), 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == "invariant.size_cap"
+    assert peak < 100_000
 
 
 def test_finunif_validation():

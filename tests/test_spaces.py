@@ -150,6 +150,14 @@ def test_convex_combination_space(line3, line4):
     assert degenerate.d(a, b) == 0.0
 
 
+@pytest.mark.parametrize("multi_index", [(1,), (1, 2, 0), (1, 3), (2, 0), (-1, 0), (0, -1)])
+def test_product_index_refuses_a_multi_index_outside_the_shape(multi_index):
+    assert product_index((2, 3), (1, 2)) == 5
+    with pytest.raises(ValidationError, match="outside shape") as info:
+        product_index((2, 3), multi_index)
+    assert info.value.code == "invariant.map"
+
+
 @pytest.mark.parametrize("lam, message", [
     ([math.nan, 0.5], "finite"),
     ([1.0], "one weight per factor"),
