@@ -21,7 +21,7 @@ from .measures import DiscreteMeasure, _compose, _exact_or_float, _fractions, _w
 from .monad import NestedMeasure, expectation
 from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
                        simplex_fractions, sweep)
-from .spaces import NORMS, EuclideanSpace, vector_distance
+from .spaces import NORMS, EuclideanSpace, _integer, vector_distance
 from .tolerances import MAX_ALGEBRA_DIM
 
 
@@ -31,14 +31,9 @@ class ConvexAlgebra:
     __slots__ = ("dim", "norm")
 
     def __init__(self, dim: int, norm: str = "l2"):
-        if dim <= 0:
-            raise ValidationError("invariant.algebra", "dimension must be positive")
-        if dim > MAX_ALGEBRA_DIM:
-            raise ValidationError("invariant.size_cap",
-                                  f"dimension {dim} exceeds cap {MAX_ALGEBRA_DIM}")
+        self.dim = _integer(dim, "dimension", "invariant.algebra", 1, cap=MAX_ALGEBRA_DIM)
         if norm not in NORMS:
             raise ValidationError("invariant.algebra", f"unknown norm {norm!r}")
-        self.dim = int(dim)
         self.norm = norm
 
     def _points(self, x, y) -> tuple[np.ndarray, np.ndarray]:

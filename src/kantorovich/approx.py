@@ -21,6 +21,7 @@ from .measures import DiscreteMeasure, _exact_weights
 from .monad import empirical_sym
 from .power import MultiSet, sample_size
 from .samplers import RNG_ALGORITHM, rng_from
+from .spaces import _integer
 from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 from .transport import w1_flow, wasserstein1
 
@@ -82,8 +83,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
     closed form as ``bound`` and the flow-solver value as ``w1_error`` so the
     two derivations stay cross-checkable.
     """
-    if center < 0 or center >= p.space.n:
-        raise ValidationError("invariant.measure", f"center {center} outside space")
+    center = _integer(center, "center", "invariant.measure", 0, p.space.n - 1)
     if not radius >= 0:  # NaN too
         raise ValidationError("invariant.measure", "radius must be nonnegative")
     nums, den = _exact_weights(p)
@@ -105,7 +105,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
     error = w1_flow(p, q).cost if moved > 0 else 0.0
     return ApproximationReport(
         target=p, approximant=q, w1_error=float(error), bound=float(formula / den),
-        params={"center": int(center), "radius": float(radius)})
+        params={"center": center, "radius": float(radius)})
 
 
 def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:
@@ -128,11 +128,8 @@ def convergence_study(p: DiscreteMeasure, sizes, trials: int, seed: int = 0) -> 
     Each (size, trial) pair runs on its own seed stream, so studies are
     reproducible point by point.
     """
-    if trials <= 0:
-        raise ValidationError("invariant.weights", "trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
-    sizes = [sample_size(int(n)) for n in sizes]  # all of them, before the first draw
+    trials = _integer(trials, "trials", "invariant.weights", 1, cap=MAX_TRIALS)
+    sizes = [sample_size(n) for n in sizes]  # all of them, before the first draw
     if trials * sum(sizes) > MAX_SAMPLE_SIZE:
         raise ValidationError("invariant.size_cap", f"{trials} trials of sizes {sizes} draw "
                               f"{trials * sum(sizes)} points, over cap {MAX_SAMPLE_SIZE}")

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import FiniteMetricSpace, same_space
+from .spaces import FiniteMetricSpace, _integer, same_space
 from .tolerances import TAU_WEIGHT
 
 # The float weights of a unit mass, shared: read-only, like every weight array.
@@ -50,10 +50,11 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
             ratios = [w.as_integer_ratio() for w in values]
             den = math.lcm(*(d for _, d in ratios))
             values = [num * (den // d) for num, d in ratios]
-    elif den <= 0:
-        raise ValidationError(code, "denominator must be positive")
-    elif not exact:
-        values = [num / den for num in values]
+    else:
+        den = _integer(den, "denominator", code, 1)
+        values = [_integer(num, "numerator", code) for num in values]
+        if not exact:
+            values = [num / den for num in values]
     if exact and len(values) == 1 and values[0] == den:
         # A unit mass, the commonest weight vector of all, is canonical as given.
         return (None if keys is None else (keys[0],)), _UNIT, (1,), 1
@@ -178,7 +179,7 @@ class DiscreteMeasure:
             raise ValidationError("invariant.measure", "support/weights length mismatch")
         if len(support) == 0:
             raise ValidationError("invariant.measure", "empty support")
-        keys = [int(i) for i in support]
+        keys = [_integer(i, "support index", "invariant.measure") for i in support]
         if min(keys) < 0 or max(keys) >= space.n:
             bad = min(i for i in keys if not 0 <= i < space.n)
             raise ValidationError("invariant.measure", f"support index {bad} outside space")
@@ -189,7 +190,7 @@ class DiscreteMeasure:
     @classmethod
     def from_rational(cls, space: FiniteMetricSpace, support: Sequence[int],
                       numerators: Sequence[int], denominator: int) -> "DiscreteMeasure":
-        return cls(space, support, [int(k) for k in numerators], int(denominator))
+        return cls(space, support, numerators, denominator)
 
     @property
     def fractions(self) -> tuple[Fraction, ...] | None:
@@ -240,12 +241,12 @@ def pushforward(f: Sequence[int] | Callable[[int], int], p: DiscreteMeasure,
     """
     target = codomain if codomain is not None else p.space
     if callable(f):
-        mapped = [int(f(i)) for i in p.support]
+        mapped = [f(i) for i in p.support]
     else:
         arr = list(f)
         if len(arr) != p.space.n:
             raise ValidationError("invariant.map", f"index map must have length {p.space.n}")
-        mapped = [int(arr[i]) for i in p.support]
+        mapped = [arr[i] for i in p.support]
     return DiscreteMeasure(target, mapped, *_exact_or_float(p.nums, p.den, p.weights))
 
 
@@ -266,8 +267,7 @@ def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure],
 
 def first_moment(p: DiscreteMeasure, x0: int) -> float:
     """Mean distance from x0 to p: sum_i w_i d(x0, x_i)."""
-    if x0 < 0 or x0 >= p.space.n:
-        raise ValidationError("invariant.measure", f"index {x0} outside space")
+    x0 = _integer(x0, "index", "invariant.measure", 0, p.space.n - 1)
     return math.fsum(w * p.space.d(x0, i) for i, w in zip(p.support, p.weights))
 
 

@@ -105,7 +105,7 @@ def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiS
     if p.den is None:
         raise ValidationError("invariant.measure", "measure has no exact weights")
     den = p.den
-    n = sample_size(den if size is None else int(size))
+    n = sample_size(den if size is None else size)
     if n % den != 0:
         raise ValidationError("invariant.measure", f"size {n} is not a multiple of {den}")
     return MultiSet(p.space, [x for x, k in zip(p.support, p.nums) for _ in range(k * (n // den))])

@@ -9,33 +9,26 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
-from .spaces import FiniteMetricSpace, same_space
+from .spaces import FiniteMetricSpace, _integer, same_space
 from .tolerances import MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SAMPLE_SIZE
 
 
 def sample_size(size: int) -> int:
     """The entries of one sample or multiset, refused unless in 1..MAX_SAMPLE_SIZE."""
-    if size <= 0:
-        raise ValidationError("invariant.tuple", "sample size must be positive")
-    if size > MAX_SAMPLE_SIZE:
-        raise ValidationError("invariant.size_cap",
-                              f"sample size {size} exceeds cap {MAX_SAMPLE_SIZE}")
-    return size
+    return _integer(size, "sample size", "invariant.tuple", 1, cap=MAX_SAMPLE_SIZE)
 
 
 def _check_entries(space: FiniteMetricSpace, entries: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(i) for i in entries)
+    out = tuple(_integer(i, "entry", "invariant.tuple", 0, space.n - 1) for i in entries)
     if not out:
         raise ValidationError("invariant.tuple", "empty tuple")
-    for i in out:
-        if i < 0 or i >= space.n:
-            raise ValidationError("invariant.tuple", f"entry {i} outside space")
     return out
 
 
@@ -91,10 +84,7 @@ def multiset_distance(a: MultiSet, b: MultiSet) -> float:
     Solved as an optimal assignment on the n x n cost matrix, n <= MAX_ASSIGNMENT_SIZE.
     """
     _require_compatible(a, b)
-    n = len(a)
-    if n > MAX_ASSIGNMENT_SIZE:
-        raise ValidationError("invariant.size_cap",
-                              f"multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
+    n = _integer(len(a), "multiset size", "invariant.tuple", cap=MAX_ASSIGNMENT_SIZE)
     cost = a.space.dist[np.ix_(a.entries, b.entries)]
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / n
@@ -133,6 +123,7 @@ def quotient(t: PointTuple) -> MultiSet:
 
 def repeat_embedding(ms: MultiSet, n: int) -> MultiSet:
     """n-fold repetition of every entry, n > 0; an isometric embedding of multisets."""
+    n = _integer(n, "repetition count", "invariant.tuple")
     sample_size(len(ms) * n)
     return MultiSet(ms.space, ms.entries * n)
 
@@ -147,8 +138,8 @@ class FinUnifMap:
     __slots__ = ("assignment", "codomain_size")
 
     def __init__(self, assignment: Sequence[int], codomain_size: int):
-        self.assignment = tuple(int(v) for v in assignment)
-        self.codomain_size = int(codomain_size)
+        self.assignment = tuple(_integer(v, "map value", "invariant.finunif") for v in assignment)
+        self.codomain_size = _integer(codomain_size, "codomain size", "invariant.finunif")
         if not validate_finunif(self.assignment, self.codomain_size):
             raise ValidationError("invariant.finunif", "fibers are not uniform")
 
@@ -162,19 +153,10 @@ class FinUnifMap:
 
 def validate_finunif(assignment: Sequence[int], codomain_size: int | None = None) -> bool:
     """True iff the assignment is surjective with equal-sized fibers."""
-    values = [int(v) for v in assignment]
-    if not values:
-        return False
-    size = codomain_size if codomain_size is not None else max(values) + 1
-    if size <= 0 or len(values) % size != 0:
-        return False
-    fiber = len(values) // size
-    counts = [0] * size
-    for v in values:
-        if v < 0 or v >= size:
-            return False
-        counts[v] += 1
-    return all(c == fiber for c in counts)
+    counts = Counter(_integer(v, "map value", "invariant.finunif") for v in assignment)
+    size = max(counts, default=0) + 1 if codomain_size is None else \
+        _integer(codomain_size, "codomain size", "invariant.finunif")
+    return sorted(counts) == list(range(size)) and len(set(counts.values())) == 1
 
 
 def precompose(phi: FinUnifMap, t: PointTuple) -> PointTuple:

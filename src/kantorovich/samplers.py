@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .graded import NestedMultiSet, NestedTuple
 from .measures import DiscreteMeasure
 from .power import FinUnifMap, MultiSet, PointTuple
-from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace
+from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer
 from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -32,8 +32,7 @@ def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
           trial: Callable[[np.random.Generator], Sequence[float]]) -> dict[str, float]:
     """Worst value of each named discrepancy over ``trials`` calls of
     ``trial(rng)``, which returns one value per name, in order."""
-    if trials > MAX_TRIALS:
-        raise ValidationError("invariant.size_cap", f"{trials} trials exceed cap {MAX_TRIALS}")
+    trials = _integer(trials, "trials", "invariant.weights", 0, cap=MAX_TRIALS)
     worst = dict.fromkeys(names, 0.0)
     for _ in range(trials):
         for name, value in zip(names, trial(rng)):
@@ -52,7 +51,7 @@ def distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
 
 def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
     """Random integer distance table (raw entries 1..9), closed under shortest paths."""
-    n = int(n_points)
+    n = _integer(n_points, "n_points", "invariant.space", 1)
     if n == 1:
         return FiniteMetricSpace([[0.0]])
     raw = rng.integers(1, 10, size=(n, n))
@@ -77,9 +76,7 @@ def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
 
 def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricSpace:
     """Either flavor of random space, at a random size >= 2."""
-    if max_points > MAX_RANDOM_POINTS:
-        raise ValidationError("invariant.size_cap",
-                              f"max_points {max_points} exceeds cap {MAX_RANDOM_POINTS}")
+    max_points = _integer(max_points, "max_points", "invariant.space", 2, cap=MAX_RANDOM_POINTS)
     n = int(rng.integers(2, max_points + 1))
     if rng.integers(0, 2) == 0:
         return random_metric_space(rng, n)
@@ -103,6 +100,7 @@ def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
 def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
                    max_support: int = 4, exact: bool = True) -> DiscreteMeasure:
     """Random measure; exact rational weights (denominator 1..12) by default."""
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
     k = int(rng.integers(1, min(max_support, space.n) + 1))
     support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
     if exact:

@@ -8,6 +8,7 @@ read points back off the space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -183,6 +184,24 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
     return out
 
 
+def _integer(value, what: str, code: str, low: int | None = None, high: int | None = None,
+             cap: int | None = None) -> int:
+    """An index, count or size as an int: ValidationError(code) unless an integer (not 2.0)
+    in low..high, and invariant.size_cap above the budget ``cap``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(code, f"{what} {value!r} is not an integer") from None
+    if high is not None and not low <= value <= high:
+        raise ValidationError(code, f"{what} {value} outside space")
+    if low is not None and value < low:
+        raise ValidationError(code, f"{what} must be positive" if low == 1
+                              else f"{what} {value} is below {low}")
+    if cap is not None and value > cap:
+        raise ValidationError("invariant.size_cap", f"{what} {value} exceeds cap {cap}")
+    return value
+
+
 def _check_table_cap(n_points: int) -> None:
     if n_points * n_points > MAX_TABLE_ENTRIES:
         raise ValidationError(
@@ -236,7 +255,8 @@ def convex_combination_space(lam: Sequence[float],
 
 def product_index(sizes: Sequence[int], multi_index: Sequence[int]) -> int:
     """Row-major flat index of a multi-index, matching the product carriers."""
-    index, shape = tuple(int(i) for i in multi_index), tuple(int(n) for n in sizes)
+    index = tuple(_integer(i, "multi-index entry", "invariant.map") for i in multi_index)
+    shape = tuple(_integer(n, "size", "invariant.map") for n in sizes)
     if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
         raise ValidationError("invariant.map", f"multi-index {index} outside shape {shape}")
     return int(np.ravel_multi_index(index, shape))
@@ -259,9 +279,7 @@ def check_isometric(f: Sequence[int], x: FiniteMetricSpace, y: FiniteMetricSpace
 
 
 def _as_index_map(f: Iterable[int], x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.ndarray:
-    idx = np.array([int(v) for v in f], dtype=int)
+    idx = np.array([_integer(v, "map value", "invariant.map", 0, y.n - 1) for v in f], dtype=int)
     if idx.shape != (x.n,):
         raise ValidationError("invariant.map", f"index map must have length {x.n}")
-    if idx.size and (idx.min() < 0 or idx.max() >= y.n):
-        raise ValidationError("invariant.map", "index map leaves the codomain")
     return idx

@@ -41,7 +41,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _exact_weights
 from .power import MultiSet, multiset_distance_bruteforce
-from .spaces import same_space
+from .spaces import _integer, same_space
 from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
                          MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT)
 
@@ -391,10 +391,8 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     if None in sizes:
         raise ValidationError("solver.unsupported",
                               "assignment solver needs empirical (uniform) measures")
-    n = math.lcm(*sizes)
-    if n > MAX_ASSIGNMENT_SIZE:
-        raise ValidationError("invariant.size_cap",
-                              f"common multiset size {n} exceeds cap {MAX_ASSIGNMENT_SIZE}")
+    n = _integer(math.lcm(*sizes), "common multiset size", "invariant.tuple",
+                 cap=MAX_ASSIGNMENT_SIZE)
     problem = _problem(p, q)
     v = _solve(problem)[2]
     left = _uniform_expansion(p) * (n // sizes[0])

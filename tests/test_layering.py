@@ -12,10 +12,10 @@ TESTS = Path(__file__).resolve().parent
 # The weight core of ``measures`` (one check, the exact-or-float choice, the
 # integer view of weights, the Fraction view of exact weights, exact
 # comparison of two weight vectors and convex composition), the discrepancy
-# helper of ``graded`` and the table-size cap of ``spaces``.
+# helper of ``graded``, and the table-size cap and the integer guard of ``spaces``.
 SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
                   "measures._fractions", "measures._comparable", "measures._compose",
-                  "graded._discrepancy", "spaces._check_table_cap"}
+                  "graded._discrepancy", "spaces._check_table_cap", "spaces._integer"}
 
 
 def _modules() -> dict[str, ast.Module]:
