@@ -25,7 +25,7 @@ from .samplers import (random_euclidean_space, random_finunif,
                        random_measure, random_multiset, random_nested_multiset,
                        random_nested_tuple, random_rational_pair, random_space,
                        random_tuple, rng_from, sweep)
-from .spaces import EuclideanSpace
+from .spaces import EuclideanSpace, _integer
 from .tolerances import EXACT_TOL, TAU_SOLVER
 from .transport import w1_bruteforce, w1_flow, wasserstein1
 
@@ -54,7 +54,8 @@ def _result(law: str, trials: int, worst: float, tol: float) -> LawResult:
 
 def run_law_suite(trials: int = 100, seed: int = 0, max_points: int = 6,
                   max_support: int = 4) -> list[LawResult]:
-    """Run every law check; the CLI ``laws`` command is a thin wrapper."""
+    """Run every law check, trials >= 1; the CLI ``laws`` command is a thin wrapper."""
+    trials = _integer(trials, "trials", "invariant.weights", 1)
     monad_worst = check_monad_laws(trials, seed, max_points, max_support)
     out = [_result(f"monad.{law}", trials, worst, EXACT_TOL)
            for law, worst in monad_worst.items()]

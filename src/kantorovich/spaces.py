@@ -141,6 +141,8 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
     within ``tau_metric``; positivity is only demanded of spaces that do not
     declare ``pseudometric_ok``.
     """
+    if math.isnan(tau_metric):
+        raise ValidationError("invariant.space", "tolerance nan is not a number")
     table = space.dist
     n = space.n
     out: list[MetricViolation] = []
@@ -186,8 +188,8 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
 
 def _integer(value, what: str, code: str, low: int | None = None, high: int | None = None,
              cap: int | None = None) -> int:
-    """An index, count or size as an int: ValidationError(code) unless an integer (not 2.0)
-    in low..high, and invariant.size_cap above the budget ``cap``."""
+    """An index, count or size as an int: ValidationError(code) unless an integer (not
+    2.0) in low..high, high being a space's last point; invariant.size_cap above ``cap``."""
     try:
         value = operator.index(value)
     except TypeError:

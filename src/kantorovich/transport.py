@@ -457,6 +457,8 @@ def coupling_cost(c: Coupling) -> float:
 
 def validate_coupling(c: Coupling, tau_weight: float = TAU_WEIGHT) -> list[str]:
     """Report non-finite, negative and marginal violations; empty list means valid."""
+    if math.isnan(tau_weight):
+        raise ValidationError("invariant.weights", "tolerance nan is not a number")
     matrix = c.matrix
     out: list[str] = []
     if matrix.shape != (len(c.p.support), len(c.q.support)):

@@ -4,6 +4,8 @@ is; anything else, a float such as 2.0 too, is refused with the code of the
 function it was passed to, and a value above a budget with
 invariant.size_cap."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from kantorovich import (ConvexAlgebra, DiscreteMeasure, FiniteMetricSpace, FinU
                          MultiSet, PointTuple, ValidationError, check_algebra_laws,
                          check_short, convergence_study, convex_axioms, dirac, first_moment,
                          mixture, multiset_from_measure, product_index, pushforward,
-                         repeat_embedding, run_law_suite, sample_empirical, truncate_to_ball)
+                         repeat_embedding, run_law_suite, sample_empirical, truncate_to_ball,
+                         wasserstein1)
 from kantorovich.samplers import random_metric_space, random_space, rng_from
 from kantorovich.tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
@@ -70,3 +73,35 @@ def test_bad_integers_are_refused_with_the_code_of_their_function(case):
         call()
     assert info.value.code == code
 
+
+def test_numpy_integers_give_the_python_int_results():
+    # Each pair is one call with Python ints and one with np.int64: equal
+    # results to the bit, and plain ints wherever an argument is stored.
+    i = np.int64
+    p = DiscreteMeasure(LINE, [0, 2], [1, 3], 4)
+    q = DiscreteMeasure(LINE, [i(0), i(2)], [i(1), i(3)], i(4))
+    assert (q.support, q.nums, q.den) == (p.support, p.nums, p.den)
+    assert q.weights.tobytes() == p.weights.tobytes()
+    assert {type(v) for v in (*q.support, *q.nums, q.den)} == {int}
+    r = wasserstein1(p, dirac(LINE, 1)), wasserstein1(q, dirac(LINE, i(1)))
+    assert (r[1].cost, r[1].gap, r[1].solver) == (r[0].cost, r[0].gap, r[0].solver)
+    assert r[1].coupling.matrix.tobytes() == r[0].coupling.matrix.tobytes()
+
+    for kind in (PointTuple, MultiSet):
+        entries = kind(LINE, np.array([2, 0, 2])).entries
+        assert entries == kind(LINE, [2, 0, 2]).entries
+        assert {type(v) for v in entries} == {int}
+
+    assert sample_empirical(p, i(16), 3).entries == sample_empirical(p, 16, 3).entries
+    assert multiset_from_measure(p, i(8)) == multiset_from_measure(p, 8)
+
+    algebra = ConvexAlgebra(i(3))
+    assert type(algebra.dim) is int
+    assert check_algebra_laws(algebra, i(5), 1) == check_algebra_laws(ConvexAlgebra(3), 5, 1)
+
+    suite = [r.to_json() for r in run_law_suite(trials=i(2), seed=4)]
+    assert suite == [r.to_json() for r in run_law_suite(trials=2, seed=4)]
+    json.dumps(suite)  # plain JSON types, trials included
+    study = convergence_study(p, [i(4)], i(2))
+    assert study == convergence_study(p, [4], 2)
+    json.dumps(study)

@@ -30,6 +30,12 @@ def test_suite_covers_all_laws_and_passes():
     assert failing == []
 
 
+def test_suite_refuses_to_pass_laws_it_did_not_check():
+    with pytest.raises(ValidationError, match="trials must be positive") as info:
+        run_law_suite(trials=0)
+    assert info.value.code == "invariant.weights"
+
+
 def test_results_serialize_cleanly():
     results = run_law_suite(trials=5, seed=1)
     for r in results:

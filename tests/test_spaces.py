@@ -60,6 +60,15 @@ def test_validate_metric_catches_each_axiom():
     assert validate_metric(ok, 1e-9) == []
 
 
+def test_validate_metric_refuses_a_nan_tolerance():
+    # NaN fails every comparison, so it would switch every check off.
+    bad = FiniteMetricSpace([[0, -1], [1, 0]])
+    assert validate_metric(bad, 1e-9) != []
+    with pytest.raises(ValidationError, match="tolerance") as info:
+        validate_metric(bad, math.nan)
+    assert info.value.code == "invariant.space"
+
+
 def test_valid_metric_is_clean(line3, line4):
     assert validate_metric(line3, 1e-9) == []
     assert validate_metric(line4, 1e-9) == []

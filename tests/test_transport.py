@@ -71,6 +71,15 @@ def test_validate_coupling_flags_bad_marginals(half_half, quarter_three):
         assert validate_coupling(Coupling(half_half, quarter_three, matrix)) == expected
 
 
+def test_validate_coupling_refuses_a_nan_tolerance(line3):
+    # NaN fails every comparison, so it would switch every check off.
+    empty = Coupling(dirac(line3, 0), dirac(line3, 2), [[0.0]])
+    assert validate_coupling(empty) == ["row marginal off by 1.0", "column marginal off by 1.0"]
+    with pytest.raises(ValidationError, match="tolerance") as info:
+        validate_coupling(empty, math.nan)
+    assert info.value.code == "invariant.weights"
+
+
 def test_dual_potential_certifies(half_half, quarter_three):
     result = w1_flow(half_half, quarter_three)
     value = w1_dual_value(half_half, quarter_three, result.dual)
