@@ -103,8 +103,7 @@ def barycenter(algebra: ConvexAlgebra, p: DiscreteMeasure) -> np.ndarray:
 
 def mean_point(points: Sequence[np.ndarray]) -> np.ndarray:
     """Barycenter of a multiset of carrier points (uniform weights)."""
-    arr = np.asarray(points, dtype=float)
-    return arr.mean(axis=0)
+    return np.add.reduce(np.asarray(points, dtype=float), axis=0) / len(points)
 
 
 def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> SimplexWeights:
@@ -211,14 +210,15 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
 
         m_size = int(rng.integers(1, 5))
         reps = int(rng.integers(1, 4))
-        sample = points[rng.integers(0, k, size=m_size)]
+        sample = points[[int(rng.integers(0, k)) for _ in range(m_size)]]
         repeated = np.concatenate([sample] * reps, axis=0)
         power_triangle = algebra.distance(mean_point(sample), mean_point(repeated))
 
-        blocks = rng.integers(0, k, size=(int(rng.integers(1, 4)), m_size))
+        blocks = [[int(rng.integers(0, k)) for _ in range(m_size)]
+                  for _ in range(int(rng.integers(1, 4)))]
         block_means = [mean_point(points[b]) for b in blocks]
         power_square = algebra.distance(mean_point(block_means),
-                                        mean_point(points[blocks.reshape(-1)]))
+                                        mean_point(points[np.concatenate(blocks)]))
 
         matrix, offset = _random_short_affine(rng, algebra)
         p = random_measure(rng, space, space.n)
@@ -250,13 +250,19 @@ def _random_short_affine(rng: np.random.Generator,
 
 def _l2_norm_power_iteration(matrix: np.ndarray) -> float:
     """Spectral norm estimate after 60 power steps; rescaling divides by it
-    with a 0.95 margin because the estimate can run slightly low."""
+    with a 0.95 margin because the estimate can run slightly low. Each step
+    depends on the iterate alone, so step 60 is read off the first cycle."""
     gram = matrix.T @ matrix
     v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
-    for _ in range(60):
+    seen = {v.tobytes(): 0}  # the iterates so far, in step order
+    for step in range(1, 61):
         w = gram @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(float(w.dot(w)))
         if norm == 0.0:
             return 0.0
         v = w / norm
+        start = seen.setdefault(v.tobytes(), step)
+        if start < step:
+            v = np.frombuffer(list(seen)[start + (60 - start) % (step - start)])
+            break
     return math.sqrt(float(v @ gram @ v))

@@ -70,7 +70,7 @@ def run_law_suite(trials: int = 100, seed: int = 0, max_points: int = 6,
 
 def _dirac_isometry(rng) -> float:
     space = random_space(rng)
-    x, y = (int(v) for v in rng.integers(0, space.n, size=2))
+    x, y = (int(rng.integers(0, space.n)) for _ in range(2))
     got = w1_flow(dirac(space, x), dirac(space, y)).cost
     return abs(got - space.d(x, y))
 
@@ -216,8 +216,8 @@ def _graded_units(rng) -> float:
 
 def _associativity(rng, symmetrized: bool) -> float:
     space = random_space(rng)
-    outer, mid, inner = (int(v) for v in rng.integers(1, 4, size=3))
-    grid3 = [[[int(v) for v in rng.integers(0, space.n, size=inner)]
+    outer, mid, inner = (int(rng.integers(1, 4)) for _ in range(3))
+    grid3 = [[[int(rng.integers(0, space.n)) for _ in range(inner)]
               for _ in range(mid)] for _ in range(outer)]
     return check_assoc_square(space, grid3, symmetrized)
 

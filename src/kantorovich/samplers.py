@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .graded import NestedMultiSet, NestedTuple
 from .measures import DiscreteMeasure
-from .power import FinUnifMap, MultiSet, PointTuple
+from .power import FinUnifMap, MultiSet, PointTuple, quotient
 from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer
 from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
@@ -65,12 +65,14 @@ def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetric
 def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
                            norm: str | None = None) -> FiniteMetricSpace:
     """Distinct points of the integer grid [-8, 8]^dim under a random or given norm."""
+    n_points = _integer(n_points, "n_points", "invariant.space", 1)
+    dim = _integer(dim, "dim", "invariant.space", 1)
     if n_points > MAX_RANDOM_POINTS ** dim:
         raise ValidationError("invariant.size_cap",
                               f"{n_points} points exceed the {dim}-dimensional grid")
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
-    points = distinct_points(n_points, lambda: tuple(rng.integers(-8, 9, size=dim).tolist()))
+    points = distinct_points(n_points, lambda: tuple(int(rng.integers(-8, 9)) for _ in range(dim)))
     return EuclideanSpace(np.array(points, dtype=float), norm).to_metric()
 
 
@@ -87,13 +89,15 @@ def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricS
 def simplex_fractions(rng: np.random.Generator, k: int, den: int) -> list[int]:
     """Exact weights in the k-simplex with common denominator den, as their
     k integer numerators summing to den (zeros allowed)."""
-    cuts = [0, *sorted(rng.integers(0, den + 1, size=k - 1).tolist()), den]
+    k = _integer(k, "k", "invariant.weights", 1)
+    den = _integer(den, "den", "invariant.weights", 1)
+    cuts = [0, *sorted(int(rng.integers(0, den + 1)) for _ in range(k - 1)), den]
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
 def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
     """Strictly positive float weights summing to 1 (up to rounding)."""
-    raw = rng.random(k) + 1e-3
+    raw = rng.random(_integer(k, "k", "invariant.weights", 1)) + 1e-3
     return list(raw / raw.sum())
 
 
@@ -112,6 +116,7 @@ def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
 def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
                          max_support: int = 4, den: int = 6):
     """Two measures sharing one exact common denominator (brute-force ready)."""
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
     out = []
     for _ in range(2):
         k = int(rng.integers(1, min(max_support, space.n) + 1))
@@ -122,28 +127,30 @@ def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
 
 def random_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                  length: int) -> PointTuple:
-    return PointTuple(space, [int(i) for i in rng.integers(0, space.n, size=length)])
+    length = _integer(length, "tuple length", "invariant.tuple", 1)
+    return PointTuple(space, [int(rng.integers(0, space.n)) for _ in range(length)])
 
 
 def random_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                     length: int) -> MultiSet:
-    return MultiSet(space, [int(i) for i in rng.integers(0, space.n, size=length)])
+    return quotient(random_tuple(rng, space, length))
 
 
 def random_nested_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                         outer: int, inner: int) -> NestedTuple:
-    grid = rng.integers(0, space.n, size=(outer, inner))
-    return NestedTuple(space, [[int(v) for v in row] for row in grid])
+    rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
+    return NestedTuple(space, [random_tuple(rng, space, inner).entries for _ in rows])
 
 
 def random_nested_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                            outer: int, inner: int) -> NestedMultiSet:
-    grid = rng.integers(0, space.n, size=(outer, inner))
-    return NestedMultiSet(space, [[int(v) for v in row] for row in grid])
+    rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
+    return NestedMultiSet(space, [random_tuple(rng, space, inner).entries for _ in rows])
 
 
 def random_finunif(rng: np.random.Generator, codomain_size: int,
                    fiber: int) -> FinUnifMap:
     """Uniform-fiber surjection with a shuffled domain."""
-    values = np.repeat(np.arange(codomain_size), fiber)
+    codomain_size = _integer(codomain_size, "codomain size", "invariant.finunif", 1)
+    values = np.repeat(np.arange(codomain_size), _integer(fiber, "fiber", "invariant.finunif", 1))
     return FinUnifMap([int(v) for v in rng.permutation(values)], codomain_size)

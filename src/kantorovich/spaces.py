@@ -84,10 +84,10 @@ def vector_distance(u, v, norm: str) -> float:
 def _norm(diff: np.ndarray, norm: str):
     """The named norm of ``diff`` over its last axis; 0 on an empty axis."""
     if norm == "l1":
-        return np.sum(np.abs(diff), axis=-1)
+        return np.add.reduce(np.abs(diff), axis=-1)
     if norm == "l2":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    return np.max(np.abs(diff), axis=-1, initial=0.0)
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    return np.maximum.reduce(np.abs(diff), axis=-1, initial=0.0)
 
 
 class EuclideanSpace:
@@ -188,10 +188,10 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
 
 def _integer(value, what: str, code: str, low: int | None = None, high: int | None = None,
              cap: int | None = None) -> int:
-    """An index, count or size as an int: ValidationError(code) unless an integer (not
-    2.0) in low..high, high being a space's last point; invariant.size_cap above ``cap``."""
+    """An index, count or size as an int: ValidationError(code) unless an integer (not 2.0
+    or True) in low..high, high being a space's last point; invariant.size_cap above cap."""
     try:
-        value = operator.index(value)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValidationError(code, f"{what} {value!r} is not an integer") from None
     if high is not None and not low <= value <= high:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
                          c_lambda, check_algebra_laws, check_metric_compat,
                          convex_axioms, dirac, mean_point, mixture,
                          operad_compose, wasserstein1)
+from kantorovich.algebras import _l2_norm_power_iteration
 from kantorovich.samplers import rng_from, simplex_fractions
 
 
@@ -162,3 +164,48 @@ def test_free_algebra_structure():
         lhs = mixture([lam, (1 - lam) * mu, (1 - lam) * (1 - mu)], [p, q, r])
         rhs = mixture([lam, 1 - lam], [p, mixture([mu, 1 - mu], [q, r])])
         assert wasserstein1(lhs, rhs).cost <= 1e-12
+
+
+def _sixty_step_power_iteration(matrix: np.ndarray) -> float:
+    """The reference: the spectral-norm loop that always ran all 60 steps, verbatim."""
+    gram = matrix.T @ matrix
+    v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
+    for _ in range(60):
+        w = gram @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+    return math.sqrt(float(v @ gram @ v))
+
+
+def _first_repeat_period(matrix: np.ndarray) -> int | None:
+    """Period of the first power iterate that repeats a bit-identical earlier
+    one within 60 steps; None when none does (or the iterate vanishes)."""
+    gram = matrix.T @ matrix
+    v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
+    seen = [v.tobytes()]
+    for _ in range(60):
+        w = gram @ v
+        if not w.any():
+            return None
+        v = w / np.linalg.norm(w)
+        if v.tobytes() in seen:
+            return len(seen) - seen.index(v.tobytes())
+        seen.append(v.tobytes())
+    return None
+
+
+def test_power_iteration_keeps_the_bits_of_the_sixty_step_loop():
+    rng = rng_from(0, 900)
+    matrices = [rng.uniform(-1.0, 1.0, size=(dim, dim)) for dim in range(1, 7) for _ in range(200)]
+    matrices += [np.zeros((3, 3)), np.eye(4), np.outer([1.0, -2.0, 0.5], [0.3, 0.7, -1.0])]
+    for matrix in matrices:
+        got = _l2_norm_power_iteration(matrix)
+        assert got.hex() == _sixty_step_power_iteration(matrix).hex()
+    # The sample exercises every branch: a fixed point, a longer cycle, and
+    # an iteration that never repeats before step 60.
+    periods = [_first_repeat_period(matrix) for matrix in matrices]
+    assert 1 in periods
+    assert any(period is not None and period >= 2 for period in periods)
+    assert None in periods

@@ -15,16 +15,22 @@ from kantorovich import (ConvexAlgebra, DiscreteMeasure, FiniteMetricSpace, FinU
                          mixture, multiset_from_measure, product_index, pushforward,
                          repeat_embedding, run_law_suite, sample_empirical, truncate_to_ball,
                          wasserstein1)
-from kantorovich.samplers import random_metric_space, random_space, rng_from
+from kantorovich.samplers import (random_euclidean_space, random_finunif, random_metric_space,
+                                  random_multiset, random_nested_multiset, random_nested_tuple,
+                                  random_rational_pair, random_space, random_tuple, rng_from,
+                                  simplex_floats, simplex_fractions)
 from kantorovich.tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 LINE = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 HALF = DiscreteMeasure(LINE, [0, 2], [1, 1], 2)
 ALGEBRA = ConvexAlgebra(2)
+RNG = rng_from(0)  # the samplers refuse a bad count before they draw from it
 
 # (call, the code it is refused with), one entry per bad argument.
 _BAD = {
     "dirac point": (lambda: dirac(LINE, 1.5), "invariant.measure"),
+    "dirac point True": (lambda: dirac(LINE, True), "invariant.measure"),
+    "dirac point numpy True": (lambda: dirac(LINE, np.True_), "invariant.measure"),
     "pushforward map": (lambda: pushforward([0, 1.5, 2], dirac(LINE, 1)), "invariant.measure"),
     "tuple entry": (lambda: PointTuple(LINE, [1.5]), "invariant.tuple"),
     "multiset entries": (lambda: MultiSet(LINE, np.array([0.0, 2.0])), "invariant.tuple"),
@@ -61,6 +67,23 @@ _BAD = {
     "random table size": (lambda: random_metric_space(rng_from(0), 2.5), "invariant.space"),
     "random space cap": (lambda: random_space(rng_from(0), np.int64(MAX_RANDOM_POINTS + 1)),
                          "invariant.size_cap"),
+    "euclidean points": (lambda: random_euclidean_space(RNG, 2.5, 2), "invariant.space"),
+    "euclidean dimension": (lambda: random_euclidean_space(RNG, 2, 1.5), "invariant.space"),
+    "random tuple length": (lambda: random_tuple(RNG, LINE, 2.5), "invariant.tuple"),
+    "random multiset length": (lambda: random_multiset(RNG, LINE, 2.5), "invariant.tuple"),
+    "nested tuple outer": (lambda: random_nested_tuple(RNG, LINE, 1.5, 2), "invariant.tuple"),
+    "nested tuple inner": (lambda: random_nested_tuple(RNG, LINE, 2, 2.5), "invariant.tuple"),
+    "nested multiset outer": (lambda: random_nested_multiset(RNG, LINE, 1.5, 2),
+                              "invariant.tuple"),
+    "nested multiset inner": (lambda: random_nested_multiset(RNG, LINE, 2, 2.5),
+                              "invariant.tuple"),
+    "simplex size": (lambda: simplex_fractions(RNG, 2.5, 6), "invariant.weights"),
+    "float simplex size": (lambda: simplex_floats(RNG, 2.5), "invariant.weights"),
+    "simplex denominator": (lambda: simplex_fractions(RNG, 2, 6.5), "invariant.weights"),
+    "finunif codomain size": (lambda: random_finunif(RNG, 2.5, 2), "invariant.finunif"),
+    "finunif fiber": (lambda: random_finunif(RNG, 2, 1.5), "invariant.finunif"),
+    "rational pair max_support": (lambda: random_rational_pair(RNG, LINE, max_support=2.5),
+                                  "invariant.measure"),
     "algebra trials": (lambda: check_algebra_laws(ALGEBRA, trials=-1), "invariant.weights"),
     "axiom trials": (lambda: convex_axioms(ALGEBRA, trials=2.5), "invariant.weights"),
 }
@@ -72,6 +95,14 @@ def test_bad_integers_are_refused_with_the_code_of_their_function(case):
     with pytest.raises(ValidationError) as info:
         call()
     assert info.value.code == code
+
+
+def test_bad_sampler_counts_are_refused_before_the_first_draw():
+    state = RNG.bit_generator.state
+    for call, _ in _BAD.values():
+        with pytest.raises(ValidationError):
+            call()
+    assert RNG.bit_generator.state == state
 
 
 def test_numpy_integers_give_the_python_int_results():
