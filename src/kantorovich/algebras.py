@@ -21,7 +21,7 @@ from .measures import DiscreteMeasure, _compose, _exact_or_float, _fractions, _w
 from .monad import NestedMeasure, expectation
 from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
                        simplex_fractions, sweep)
-from .spaces import NORMS, EuclideanSpace, _integer, vector_distance
+from .spaces import NORMS, EuclideanSpace, _integer, _norm, _real, _real_array
 from .tolerances import MAX_ALGEBRA_DIM
 
 
@@ -37,14 +37,20 @@ class ConvexAlgebra:
         self.norm = norm
 
     def _points(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Two points of the carrier as float arrays of shape (dim,)."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        """Two points of the carrier as finite float arrays of shape (dim,)."""
+        x, y = [_real_array(v, "point", "invariant.algebra") for v in (x, y)]
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValidationError("invariant.algebra", "point dimension mismatch")
         return x, y
 
     def distance(self, x, y) -> float:
-        return vector_distance(*self._points(x, y), self.norm)
+        return self._distance(*self._points(x, y))
+
+    def _distance(self, x, y) -> float:
+        return float(_norm(x - y, self.norm))
+
+    def _combine(self, lam: float, x, y) -> np.ndarray:
+        return lam * x + (1.0 - lam) * y
 
     def __repr__(self) -> str:
         return f"ConvexAlgebra(dim={self.dim}, norm={self.norm!r})"
@@ -60,8 +66,6 @@ class SimplexWeights:
     __slots__ = ("entries", "nums", "den")
 
     def __init__(self, entries: Sequence, den: int | None = None):
-        if len(entries) == 0:
-            raise ValidationError("invariant.weights", "empty weight vector")
         _, floats, self.nums, self.den = _weights(entries, "invariant.weights", "weight", den=den)
         self.entries = tuple(floats.tolist())
 
@@ -79,11 +83,8 @@ class SimplexWeights:
 
 def c_lambda(algebra: ConvexAlgebra, lam: float, x, y) -> np.ndarray:
     """Binary convex combination lam*x + (1-lam)*y."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:  # NaN too
-        raise ValidationError("invariant.weights", f"lambda {lam!r} outside [0, 1]")
-    x, y = algebra._points(x, y)
-    return lam * x + (1.0 - lam) * y
+    lam = _real(lam, "lambda", "invariant.weights", 0.0, 1.0)
+    return algebra._combine(lam, *algebra._points(x, y))
 
 
 def barycenter(algebra: ConvexAlgebra, p: DiscreteMeasure) -> np.ndarray:
@@ -102,8 +103,11 @@ def barycenter(algebra: ConvexAlgebra, p: DiscreteMeasure) -> np.ndarray:
 
 
 def mean_point(points: Sequence[np.ndarray]) -> np.ndarray:
-    """Barycenter of a multiset of carrier points (uniform weights)."""
-    return np.add.reduce(np.asarray(points, dtype=float), axis=0) / len(points)
+    """Barycenter of a non-empty multiset of carrier points (uniform weights)."""
+    points = _real_array(points, "points", "invariant.algebra")
+    if points.ndim != 2 or len(points) == 0:
+        raise ValidationError("invariant.algebra", "need a non-empty list of points")
+    return np.add.reduce(points, axis=0) / len(points)
 
 
 def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> SimplexWeights:
@@ -116,7 +120,7 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
 
 
 # ---------------------------------------------------------------------------
-# law checks
+# law checks, on their own finite draws through the unchecked _combine and _distance
 
 
 def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> dict[str, float]:
@@ -130,15 +134,15 @@ def check_metric_compat(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> d
     def trial(rng) -> tuple[float, float]:
         x, y, z = rng.uniform(-8.0, 8.0, size=(3, algebra.dim))
         lam = float(rng.random())
-        lhs = algebra.distance(c_lambda(algebra, lam, x, z), c_lambda(algebra, lam, y, z))
+        lhs = algebra._distance(algebra._combine(lam, x, z), algebra._combine(lam, y, z))
         n = int(rng.integers(1, 5))
         xs = rng.uniform(-8.0, 8.0, size=(n, algebra.dim))
         ys = rng.uniform(-8.0, 8.0, size=(n, algebra.dim))
         lams = np.array(simplex_floats(rng, n))
-        left = algebra.distance(xs.T @ lams, ys.T @ lams)
-        right = math.fsum(float(l) * algebra.distance(a, b)
+        left = algebra._distance(xs.T @ lams, ys.T @ lams)
+        right = math.fsum(float(l) * algebra._distance(a, b)
                           for l, a, b in zip(lams, xs, ys))
-        return abs(lhs - lam * algebra.distance(x, y)), left - right
+        return abs(lhs - lam * algebra._distance(x, y)), left - right
 
     return sweep(trials, rng_from(seed, 201), ("binary_equality", "general_violation"), trial)
 
@@ -149,8 +153,7 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
     convention for which argument carries the weight."""
 
     def comb(lam: float, x, y):
-        return c_lambda(algebra, lam, x, y) if weight_on_first \
-            else c_lambda(algebra, 1.0 - lam, x, y)
+        return algebra._combine(lam if weight_on_first else 1.0 - lam, x, y)
 
     def trial(rng) -> tuple[float, float, float, float]:
         x, y, z = rng.uniform(-8.0, 8.0, size=(3, algebra.dim))
@@ -169,11 +172,11 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
             else:
                 lhs = comb(lam, x, comb(mu, y, z))
                 rhs = comb(lam * mu, comb(nu, x, y), z)
-            associativity = algebra.distance(lhs, rhs)
-        return (max(algebra.distance(comb(0.0, x, y), at_zero),
-                    algebra.distance(comb(1.0, x, y), at_one)),
-                algebra.distance(comb(lam, x, x), x),
-                algebra.distance(comb(lam, x, y), comb(1.0 - lam, y, x)),
+            associativity = algebra._distance(lhs, rhs)
+        return (max(algebra._distance(comb(0.0, x, y), at_zero),
+                    algebra._distance(comb(1.0, x, y), at_one)),
+                algebra._distance(comb(lam, x, x), x),
+                algebra._distance(comb(lam, x, y), comb(1.0 - lam, y, x)),
                 associativity)
 
     return sweep(trials, rng_from(seed, 202),
@@ -197,7 +200,7 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
         space = EuclideanSpace(points, algebra.norm).to_metric()
 
         i = int(rng.integers(0, k))
-        unit = algebra.distance(barycenter(algebra, dirac(space, i)), points[i])
+        unit = algebra._distance(barycenter(algebra, dirac(space, i)), points[i])
 
         n_inner = int(rng.integers(1, 4))
         inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
@@ -206,26 +209,26 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
         via_points = np.zeros(algebra.dim)
         for w, m in zip(mu.outer_weights, mu.inner):
             via_points += float(w) * barycenter(algebra, m)
-        multiplication = algebra.distance(barycenter(algebra, expectation(mu)), via_points)
+        multiplication = algebra._distance(barycenter(algebra, expectation(mu)), via_points)
 
         m_size = int(rng.integers(1, 5))
         reps = int(rng.integers(1, 4))
         sample = points[[int(rng.integers(0, k)) for _ in range(m_size)]]
         repeated = np.concatenate([sample] * reps, axis=0)
-        power_triangle = algebra.distance(mean_point(sample), mean_point(repeated))
+        power_triangle = algebra._distance(mean_point(sample), mean_point(repeated))
 
         blocks = [[int(rng.integers(0, k)) for _ in range(m_size)]
                   for _ in range(int(rng.integers(1, 4)))]
         block_means = [mean_point(points[b]) for b in blocks]
-        power_square = algebra.distance(mean_point(block_means),
-                                        mean_point(points[np.concatenate(blocks)]))
+        power_square = algebra._distance(mean_point(block_means),
+                                         mean_point(points[np.concatenate(blocks)]))
 
         matrix, offset = _random_short_affine(rng, algebra)
         p = random_measure(rng, space, space.n)
         image_space = EuclideanSpace(points @ matrix.T + offset, algebra.norm).to_metric()
         image_measure = DiscreteMeasure(image_space, p.support, p.nums, p.den)
-        affine = algebra.distance(matrix @ barycenter(algebra, p) + offset,
-                                  barycenter(algebra, image_measure))
+        affine = algebra._distance(matrix @ barycenter(algebra, p) + offset,
+                                   barycenter(algebra, image_measure))
         return unit, multiplication, power_triangle, power_square, affine
 
     return sweep(trials, rng_from(seed, 203), ("unit", "multiplication", "power_triangle",

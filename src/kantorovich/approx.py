@@ -21,7 +21,7 @@ from .measures import DiscreteMeasure, _exact_weights
 from .monad import empirical_sym
 from .power import MultiSet, sample_size
 from .samplers import RNG_ALGORITHM, rng_from
-from .spaces import _integer
+from .spaces import _integer, _real
 from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 from .transport import w1_flow, wasserstein1
 
@@ -49,15 +49,8 @@ def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
     exact arithmetic, hence weights that are already multiples of 1/K come
     back unchanged with error exactly 0.
     """
-    try:
-        epsilon = float(epsilon)
-    except OverflowError:  # an int beyond the floats, such as 10**400
-        epsilon = math.inf if epsilon > 0 else -math.inf
-    if not math.isfinite(epsilon):
-        raise ValidationError("invariant.weights", f"epsilon {epsilon!r} is not finite")
+    epsilon = _real(epsilon, "epsilon", "invariant.weights", math.ulp(0.0))
     eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValidationError("invariant.weights", "epsilon must be positive")
     k = max(1, math.ceil(1 / eps))
     nums, den = _exact_weights(p)
 
@@ -84,8 +77,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
     two derivations stay cross-checkable.
     """
     center = _integer(center, "center", "invariant.measure", 0, p.space.n - 1)
-    if not radius >= 0:  # NaN too
-        raise ValidationError("invariant.measure", "radius must be nonnegative")
+    radius = _real(radius, "radius", "invariant.measure", 0.0, math.inf)
     nums, den = _exact_weights(p)
     support: list[int] = []
     vals: list[int] = []  # the kept weights, times den
@@ -105,7 +97,7 @@ def truncate_to_ball(p: DiscreteMeasure, center: int, radius: float) -> Approxim
     error = w1_flow(p, q).cost if moved > 0 else 0.0
     return ApproximationReport(
         target=p, approximant=q, w1_error=float(error), bound=float(formula / den),
-        params={"center": center, "radius": float(radius)})
+        params={"center": center, "radius": radius})
 
 
 def _inverse_cdf(p: DiscreteMeasure, size: int, rng: np.random.Generator) -> MultiSet:

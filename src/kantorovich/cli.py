@@ -10,7 +10,6 @@ tolerance, so shell scripts can tell "input was bad" from "mathematics broke".
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .algebras import ConvexAlgebra, check_algebra_laws, check_metric_compat, convex_axioms
@@ -20,6 +19,7 @@ from .fileio import dump_canonical, load_indices, load_measure, load_space, meas
 from .laws import run_law_suite
 from .power import MultiSet, PointTuple, multiset_distance, tuple_distance
 from .samplers import RNG_ALGORITHM
+from .spaces import _real
 from .tolerances import TAU_METRIC, TAU_SOLVER
 from .transport import SOLVERS, validate_coupling, wasserstein1
 
@@ -55,7 +55,7 @@ def _option(convert, what: str, accept=lambda value: True):
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, KantorovichError):
             pass
         else:
             if accept(value):
@@ -66,7 +66,7 @@ def _option(convert, what: str, accept=lambda value: True):
 
 # Seeds feed a SeedSequence; NaN and the infinities have no JSON form.
 _SEED = _option(int, "a nonnegative integer", lambda value: value >= 0)
-_FINITE = _option(float, "a finite number", math.isfinite)
+_FINITE = _option(lambda text: _real(float(text), "value", "cli.arguments"), "a finite number")
 _SIZES = _option(lambda text: [int(s) for s in text.split(",") if s],
                  "a comma-separated list of positive integers",
                  lambda sizes: sizes and min(sizes) >= 1)

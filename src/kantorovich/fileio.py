@@ -63,7 +63,8 @@ def _space_from_csv(text: str) -> FiniteMetricSpace:
 
 
 def _space_from_json(text: str) -> FiniteMetricSpace:
-    data = json.loads(text)
+    # Integers are read as floats, so that one beyond a float's range is malformed content.
+    data = json.loads(text, parse_int=lambda digits: float(int(digits)))
     if not isinstance(data, dict) or "kind" not in data:
         raise TypeError("expected an object with a 'kind' field")
     kind = data["kind"]

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import FiniteMetricSpace, _integer, same_space
+from .spaces import FiniteMetricSpace, _integer, _real, same_space
 from .tolerances import TAU_WEIGHT
 
 # The float weights of a unit mass, shared: read-only, like every weight array.
@@ -45,7 +45,7 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
     correctly rounded.
     """
     if den is None:
-        exact = exact and all(isinstance(w, (int, Fraction)) for w in values)
+        exact = exact and all(type(w) is int or isinstance(w, Fraction) for w in values)
         if exact:
             ratios = [w.as_integer_ratio() for w in values]
             den = math.lcm(*(d for _, d in ratios))
@@ -54,17 +54,12 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
         den = _integer(den, "denominator", code, 1)
         values = [_integer(num, "numerator", code) for num in values]
         if not exact:
-            values = [num / den for num in values]
+            values = [Fraction(num, den) for num in values]  # num / den could overflow
     if exact and len(values) == 1 and values[0] == den:
         # A unit mass, the commonest weight vector of all, is canonical as given.
         return (None if keys is None else (keys[0],)), _UNIT, (1,), 1
     if not exact:
-        values = [float(w) for w in values]
-        for i, w in enumerate(values):
-            if not math.isfinite(w):
-                raise ValidationError(code, f"{label} {i} is not finite: {w!r}")
-            if w < 0:
-                raise ValidationError(code, f"{label} {i} is negative: {w!r}")
+        values = [_real(w, f"{label} {i}", code, 0.0) for i, w in enumerate(values)]
         add = math.fsum
     elif min(values, default=0) < 0:
         i, w = next((i, w) for i, w in enumerate(values) if w < 0)
@@ -287,5 +282,6 @@ def weight_discrepancy(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 def measures_equal(p: DiscreteMeasure, q: DiscreteMeasure,
                    tau_weight: float = TAU_WEIGHT) -> bool:
     """Same support, weights agreeing pointwise within tau_weight."""
+    tau_weight = _real(tau_weight, "tolerance", "invariant.weights", 0.0, math.inf)
     return (same_space(p.space, q.space) and p.support == q.support
             and weight_discrepancy(p, q) <= tau_weight)

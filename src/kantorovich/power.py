@@ -93,9 +93,7 @@ def multiset_distance(a: MultiSet, b: MultiSet) -> float:
 def multiset_distance_bruteforce(a: MultiSet, b: MultiSet) -> float:
     """Permutation-scan oracle for the multiset metric; n! work, n <= MAX_BRUTE_SIZE."""
     _require_compatible(a, b)
-    n = len(a)
-    if n > MAX_BRUTE_SIZE:
-        raise ValidationError("invariant.size_cap", f"brute force capped at n={MAX_BRUTE_SIZE}")
+    n = _integer(len(a), "multiset size", "invariant.tuple", cap=MAX_BRUTE_SIZE)
     cost = a.space.dist[np.ix_(a.entries, b.entries)]
     best = math.inf
     for perm in itertools.permutations(range(n)):
@@ -143,10 +141,6 @@ class FinUnifMap:
         if not validate_finunif(self.assignment, self.codomain_size):
             raise ValidationError("invariant.finunif", "fibers are not uniform")
 
-    @property
-    def domain_size(self) -> int:
-        return len(self.assignment)
-
     def __repr__(self) -> str:
         return f"FinUnifMap({list(self.assignment)} -> {self.codomain_size})"
 
@@ -156,7 +150,8 @@ def validate_finunif(assignment: Sequence[int], codomain_size: int | None = None
     counts = Counter(_integer(v, "map value", "invariant.finunif") for v in assignment)
     size = max(counts, default=0) + 1 if codomain_size is None else \
         _integer(codomain_size, "codomain size", "invariant.finunif")
-    return sorted(counts) == list(range(size)) and len(set(counts.values())) == 1
+    return (len(counts) == size and sorted(counts) == list(range(size))
+            and len(set(counts.values())) == 1)
 
 
 def precompose(phi: FinUnifMap, t: PointTuple) -> PointTuple:

@@ -13,10 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
 from .graded import NestedMultiSet, NestedTuple
 from .measures import DiscreteMeasure
-from .power import FinUnifMap, MultiSet, PointTuple, quotient
+from .power import FinUnifMap, MultiSet, PointTuple
 from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer
 from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
@@ -24,8 +23,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, stream...) tuple."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(s) for s in stream]]))
+    """Deterministic generator for a (seed, stream...) tuple of nonnegative integers."""
+    entropy = [_integer(s, "seed", "invariant.weights", 0) for s in (seed, *stream)]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
@@ -43,6 +43,7 @@ def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
 def distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
     """The first ``k`` distinct values of repeated ``draw()`` calls, in the
     order they were first drawn."""
+    k = _integer(k, "point count", "invariant.space", 0)
     points: dict[tuple, None] = {}
     while len(points) < k:
         points.setdefault(draw())
@@ -65,11 +66,8 @@ def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetric
 def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
                            norm: str | None = None) -> FiniteMetricSpace:
     """Distinct points of the integer grid [-8, 8]^dim under a random or given norm."""
-    n_points = _integer(n_points, "n_points", "invariant.space", 1)
     dim = _integer(dim, "dim", "invariant.space", 1)
-    if n_points > MAX_RANDOM_POINTS ** dim:
-        raise ValidationError("invariant.size_cap",
-                              f"{n_points} points exceed the {dim}-dimensional grid")
+    n_points = _integer(n_points, "n_points", "invariant.space", 1, cap=MAX_RANDOM_POINTS ** dim)
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
     points = distinct_points(n_points, lambda: tuple(int(rng.integers(-8, 9)) for _ in range(dim)))
@@ -125,27 +123,31 @@ def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
     return out[0], out[1]
 
 
+def _entries(rng: np.random.Generator, space: FiniteMetricSpace, length: int) -> list[int]:
+    length = _integer(length, "tuple length", "invariant.tuple", 1)
+    return [int(rng.integers(0, space.n)) for _ in range(length)]
+
+
 def random_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                  length: int) -> PointTuple:
-    length = _integer(length, "tuple length", "invariant.tuple", 1)
-    return PointTuple(space, [int(rng.integers(0, space.n)) for _ in range(length)])
+    return PointTuple(space, _entries(rng, space, length))
 
 
 def random_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                     length: int) -> MultiSet:
-    return quotient(random_tuple(rng, space, length))
+    return MultiSet(space, _entries(rng, space, length))
 
 
 def random_nested_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                         outer: int, inner: int) -> NestedTuple:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    return NestedTuple(space, [random_tuple(rng, space, inner).entries for _ in rows])
+    return NestedTuple(space, [_entries(rng, space, inner) for _ in rows])
 
 
 def random_nested_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                            outer: int, inner: int) -> NestedMultiSet:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    return NestedMultiSet(space, [random_tuple(rng, space, inner).entries for _ in rows])
+    return NestedMultiSet(space, [_entries(rng, space, inner) for _ in rows])
 
 
 def random_finunif(rng: np.random.Generator, codomain_size: int,

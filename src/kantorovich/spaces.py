@@ -8,9 +8,10 @@ read points back off the space.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,18 +19,13 @@ from .errors import ValidationError
 from .tolerances import MAX_TABLE_ENTRIES, TAU_METRIC, TAU_WEIGHT
 
 NORMS = ("l1", "l2", "linf")
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+_LARGEST = float(np.finfo(float).max)
 
 
 class FiniteMetricSpace:
     """A finite (pseudo)metric space given by its distance table.
 
-    The constructor checks shape and finiteness only; axiom checking is the
+    The constructor checks shape and entries only; axiom checking is the
     job of :func:`validate_metric` so that defective tables can still be
     built, inspected, and reported on.
     """
@@ -37,20 +33,17 @@ class FiniteMetricSpace:
     __slots__ = ("dist", "pseudometric_ok", "coords")
 
     def __init__(self, dist, pseudometric_ok: bool = False, coords=None):
-        table = np.array(dist, dtype=float)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValidationError("invariant.space", "distance table must be square")
-        if table.shape[0] == 0:
-            raise ValidationError("invariant.space", "space must be non-empty")
-        if not np.isfinite(table).all():
-            raise ValidationError("invariant.space", "distance table has non-finite entries")
+        table = _real_array(dist, "distance table", "invariant.space")
+        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+            raise ValidationError("invariant.space", "distance table must be non-empty and square")
         table.setflags(write=False)
         self.dist = table
         self.pseudometric_ok = bool(pseudometric_ok)
         if coords is not None:
-            coords = _frozen_array(coords)
-            if coords.shape[0] != table.shape[0]:
+            coords = _real_array(coords, "coords", "invariant.space")
+            if coords.ndim != 2 or len(coords) != len(table):
                 raise ValidationError("invariant.space", "coords/table size mismatch")
+            coords.setflags(write=False)
         self.coords = coords
 
     @property
@@ -74,7 +67,7 @@ def vector_distance(u, v, norm: str) -> float:
     """Distance between two coordinate vectors under a named norm."""
     if norm not in NORMS:
         raise ValidationError("invariant.space", f"unknown norm {norm!r}")
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u, v = (_real_array(w, "vector", "invariant.space") for w in (u, v))
     if u.shape != v.shape:
         raise ValidationError("invariant.space",
                               f"vectors of different shapes {u.shape} and {v.shape}")
@@ -96,11 +89,9 @@ class EuclideanSpace:
     __slots__ = ("points", "norm")
 
     def __init__(self, points, norm: str = "l2"):
-        pts = np.array(points, dtype=float)
+        pts = _real_array(points, "roster", "invariant.space")
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValidationError("invariant.space", "roster must be a non-empty 2d array")
-        if not np.isfinite(pts).all():
-            raise ValidationError("invariant.space", "roster has non-finite coordinates")
         if norm not in NORMS:
             raise ValidationError("invariant.space", f"unknown norm {norm!r}")
         pts.setflags(write=False)
@@ -141,8 +132,7 @@ def validate_metric(space: FiniteMetricSpace, tau_metric: float = TAU_METRIC) ->
     within ``tau_metric``; positivity is only demanded of spaces that do not
     declare ``pseudometric_ok``.
     """
-    if math.isnan(tau_metric):
-        raise ValidationError("invariant.space", "tolerance nan is not a number")
+    tau_metric = _real(tau_metric, "tolerance", "invariant.space", 0.0, math.inf)
     table = space.dist
     n = space.n
     out: list[MetricViolation] = []
@@ -204,6 +194,35 @@ def _integer(value, what: str, code: str, low: int | None = None, high: int | No
     return value
 
 
+def _real(value, what: str, code: str, low: float = -_LARGEST, high: float = _LARGEST) -> float:
+    """A real number as a float: ValidationError(code) unless a number (not True or "1")
+    in [low, high], the finite floats by default; NaN never is, nor an int beyond the floats."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ValidationError(code, f"{what} {value!r} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:  # such as 10**400, whose repr can be too long to print
+        raise ValidationError(code, f"{what} is an integer too large for a float") from None
+    if not low <= value <= high:
+        raise ValidationError(code, f"{what} {value!r} outside [{low:g}, {high:g}]")
+    return value
+
+
+def _real_array(values, what: str, code: str) -> np.ndarray:
+    """A table or carrier point as a new float array: ValidationError(code) unless rectangular
+    with finite entries; up to 16 are checked one by one, which is faster than a ufunc."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise ValidationError(code, f"{what} is not a rectangular array") from None
+    if arr.dtype.kind not in "iuf":  # True, "1", 10**400, Fractions: one by one through _real
+        arr = np.array([_real(v, f"{what} entry", code) for v in arr.flat]).reshape(arr.shape)
+    arr = arr.astype(float, copy=isinstance(values, np.ndarray))
+    if not (all(map(math.isfinite, arr.flat)) if arr.size <= 16 else np.isfinite(arr).all()):
+        raise ValidationError(code, f"{what} has non-finite entries")
+    return arr
+
+
 def _check_table_cap(n_points: int) -> None:
     if n_points * n_points > MAX_TABLE_ENTRIES:
         raise ValidationError(
@@ -232,11 +251,9 @@ def convex_combination_space(lam: Sequence[float],
     A zero weight erases the corresponding factor from the distance, so the
     result is flagged as a pseudometric in that case.
     """
-    weights = [float(w) for w in lam]
+    weights = [_real(w, "weight", "invariant.weights", 0.0) for w in lam]
     if len(weights) != len(spaces) or not spaces:
         raise ValidationError("invariant.weights", "need one weight per factor space")
-    if not all(0 <= w < np.inf for w in weights):
-        raise ValidationError("invariant.weights", "weights must be finite and nonnegative")
     if abs(sum(weights) - 1.0) > TAU_WEIGHT:
         raise ValidationError("invariant.weights", "weights must sum to 1")
 
@@ -261,27 +278,25 @@ def product_index(sizes: Sequence[int], multi_index: Sequence[int]) -> int:
     shape = tuple(_integer(n, "size", "invariant.map") for n in sizes)
     if len(index) != len(shape) or not all(0 <= i < n for i, n in zip(index, shape)):
         raise ValidationError("invariant.map", f"multi-index {index} outside shape {shape}")
-    return int(np.ravel_multi_index(index, shape))
+    return sum(i * math.prod(shape[k + 1:]) for k, i in enumerate(index))  # exact in Python ints
 
 
 def check_short(f: Sequence[int], x: FiniteMetricSpace, y: FiniteMetricSpace,
                 tau_metric: float = TAU_METRIC) -> bool:
     """Whether the index map f: X -> Y is distance-nonincreasing."""
-    idx = _as_index_map(f, x, y)
-    image = y.dist[np.ix_(idx, idx)]
+    image, tau_metric = _image(f, x, y, tau_metric)
     return bool(np.max(image - x.dist) <= tau_metric)
 
 
 def check_isometric(f: Sequence[int], x: FiniteMetricSpace, y: FiniteMetricSpace,
                     tau_metric: float = TAU_METRIC) -> bool:
     """Whether the index map f: X -> Y preserves distances exactly (within tau)."""
-    idx = _as_index_map(f, x, y)
-    image = y.dist[np.ix_(idx, idx)]
+    image, tau_metric = _image(f, x, y, tau_metric)
     return bool(np.max(np.abs(image - x.dist)) <= tau_metric)
 
 
-def _as_index_map(f: Iterable[int], x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.ndarray:
+def _image(f, x: FiniteMetricSpace, y: FiniteMetricSpace, tau_metric) -> tuple[np.ndarray, float]:
     idx = np.array([_integer(v, "map value", "invariant.map", 0, y.n - 1) for v in f], dtype=int)
     if idx.shape != (x.n,):
         raise ValidationError("invariant.map", f"index map must have length {x.n}")
-    return idx
+    return y.dist[np.ix_(idx, idx)], _real(tau_metric, "tolerance", "invariant.map", 0.0, math.inf)

@@ -41,7 +41,7 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _exact_weights
 from .power import MultiSet, multiset_distance_bruteforce
-from .spaces import _integer, same_space
+from .spaces import _integer, _real, _real_array, same_space
 from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
                          MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT)
 
@@ -89,8 +89,8 @@ class DualPotential:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.points),) or not np.isfinite(values).all():
+        values = _real_array(self.values, "potential", "invariant.dual")
+        if values.shape != (len(self.points),):
             raise ValidationError("invariant.dual",
                                   "potential needs one finite value per point")
         values.setflags(write=False)
@@ -151,9 +151,7 @@ def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
     copy is held whole; small tables, and wider ones such as one spanning
     900 binades, take each float's integer ratio."""
     m, n = len(p.support), len(q.support)
-    if m * n > MAX_SUPPORT_PAIRS:
-        raise ValidationError("invariant.size_cap",
-                              f"{m} x {n} support pairs exceed cap {MAX_SUPPORT_PAIRS}")
+    _integer(m * n, "support pairs", "invariant.size_cap", cap=MAX_SUPPORT_PAIRS)
     weights, den = _exact_weights(p, q)
     extra = sorted(set(q.support) - set(p.support))
     rows = [*p.support, *extra]
@@ -409,10 +407,8 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     _require_same_space(p, q)
     if p.den is None or q.den is None:
         raise ValidationError("solver.rational_required", "brute force needs exact weights")
-    d = math.lcm(p.den, q.den)
-    if d > MAX_BRUTE_SIZE:
-        raise ValidationError("invariant.size_cap",
-                              f"common denominator {d} exceeds cap {MAX_BRUTE_SIZE}")
+    d = _integer(math.lcm(p.den, q.den), "common denominator", "invariant.measure",
+                 cap=MAX_BRUTE_SIZE)
     left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.den)]
                    for m in (p, q))
     return multiset_distance_bruteforce(MultiSet(p.space, left), MultiSet(q.space, right))
@@ -457,8 +453,7 @@ def coupling_cost(c: Coupling) -> float:
 
 def validate_coupling(c: Coupling, tau_weight: float = TAU_WEIGHT) -> list[str]:
     """Report non-finite, negative and marginal violations; empty list means valid."""
-    if math.isnan(tau_weight):
-        raise ValidationError("invariant.weights", "tolerance nan is not a number")
+    tau_weight = _real(tau_weight, "tolerance", "invariant.weights", 0.0, math.inf)
     matrix = c.matrix
     out: list[str] = []
     if matrix.shape != (len(c.p.support), len(c.q.support)):

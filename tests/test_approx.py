@@ -26,9 +26,9 @@ def test_rationalize_exact_input_is_fixed_point(line4):
 
 
 def test_rationalize_rejects_bad_epsilon(line4):
-    for epsilon, message in ((0.0, "must be positive"), (-1.0, "must be positive"),
-                             (float("nan"), "not finite"), (float("inf"), "not finite"),
-                             (float("-inf"), "not finite"), (10**400, "not finite")):
+    for epsilon, message in ((0.0, "outside"), (-1.0, "outside"),
+                             (float("nan"), "outside"), (float("inf"), "outside"),
+                             (float("-inf"), "outside"), (10**400, "too large for a float")):
         with pytest.raises(ValidationError, match=message) as info:
             rationalize(dirac(line4, 0), epsilon)
         assert info.value.code == "invariant.weights"
@@ -56,7 +56,7 @@ def test_truncate_refuses_a_radius_that_is_not_nonnegative(line4):
     # NaN fails every comparison, so a `radius < 0` test alone lets it through.
     p = DiscreteMeasure.from_rational(line4, [0, 3], [1, 1], 2)
     for radius in (-1.0, float("nan")):
-        with pytest.raises(ValidationError, match="radius must be nonnegative") as info:
+        with pytest.raises(ValidationError, match=r"radius .* outside \[0, inf\]") as info:
             truncate_to_ball(p, 0, radius)
         assert info.value.code == "invariant.measure"
     report = truncate_to_ball(p, 0, float("inf"))

@@ -15,10 +15,10 @@ from kantorovich import (ConvexAlgebra, DiscreteMeasure, FiniteMetricSpace, FinU
                          mixture, multiset_from_measure, product_index, pushforward,
                          repeat_embedding, run_law_suite, sample_empirical, truncate_to_ball,
                          wasserstein1)
-from kantorovich.samplers import (random_euclidean_space, random_finunif, random_metric_space,
-                                  random_multiset, random_nested_multiset, random_nested_tuple,
-                                  random_rational_pair, random_space, random_tuple, rng_from,
-                                  simplex_floats, simplex_fractions)
+from kantorovich.samplers import (distinct_points, random_euclidean_space, random_finunif,
+                                  random_metric_space, random_multiset, random_nested_multiset,
+                                  random_nested_tuple, random_rational_pair, random_space,
+                                  random_tuple, rng_from, simplex_floats, simplex_fractions)
 from kantorovich.tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 LINE = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
@@ -84,6 +84,8 @@ _BAD = {
     "finunif fiber": (lambda: random_finunif(RNG, 2, 1.5), "invariant.finunif"),
     "rational pair max_support": (lambda: random_rational_pair(RNG, LINE, max_support=2.5),
                                   "invariant.measure"),
+    "distinct points count": (lambda: distinct_points(2.5, lambda: (int(RNG.integers(0, 9)),)),
+                              "invariant.space"),
     "algebra trials": (lambda: check_algebra_laws(ALGEBRA, trials=-1), "invariant.weights"),
     "axiom trials": (lambda: convex_axioms(ALGEBRA, trials=2.5), "invariant.weights"),
 }

@@ -12,10 +12,12 @@ TESTS = Path(__file__).resolve().parent
 # The weight core of ``measures`` (one check, the exact-or-float choice, the
 # integer view of weights, the Fraction view of exact weights, exact
 # comparison of two weight vectors and convex composition), the discrepancy
-# helper of ``graded``, and the table-size cap and the integer guard of ``spaces``.
+# helper of ``graded``, and of ``spaces`` the table-size cap, the integer guard, the
+# real-number guard and its array companion, and the norms of coordinate differences.
 SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
                   "measures._fractions", "measures._comparable", "measures._compose",
-                  "graded._discrepancy", "spaces._check_table_cap", "spaces._integer"}
+                  "graded._discrepancy", "spaces._check_table_cap", "spaces._integer",
+                  "spaces._real", "spaces._real_array", "spaces._norm"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -59,6 +61,24 @@ def test_private_names_cross_modules_only_from_the_shared_core():
                 if isinstance(node, ast.ImportFrom) and node.level and node.module
                 for alias in node.names if alias.name.startswith("_")}
     assert crossing == SHARED_PRIVATE
+
+
+def test_only_spaces_decides_what_a_finite_float_is():
+    # Every other module takes its reals through spaces._real and
+    # spaces._real_array; validate_coupling reports a non-finite entry of the
+    # coupling it is given, which may hold one.
+    tests = {"isfinite", "isinf", "isnan"}
+    found = set()
+    for module, tree in _modules().items():
+        scope = {}  # node -> the innermost function around it; ast.walk goes outside in
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((inner, node.name) for inner in ast.walk(node))
+        found |= {(module, scope.get(node, "")) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in tests
+                  or isinstance(node, ast.ImportFrom) and tests & {a.name for a in node.names}}
+    assert {entry for entry in found if entry[0] != "spaces"} == {
+        ("transport", "validate_coupling")}
 
 
 def _unused_imports(path: Path) -> list[str]:

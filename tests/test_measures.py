@@ -34,9 +34,9 @@ def test_weights_must_be_a_distribution(line3):
 def test_non_finite_weights_rejected(line3):
     # NaN compares False with everything, so it slipped past the sum check.
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match="outside"):
             DiscreteMeasure(line3, [0, 1], [bad, 0.5])
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(ValidationError, match="outside"):
             mixture([bad, 0.5], [dirac(line3, 0), dirac(line3, 1)])
 
 

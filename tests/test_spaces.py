@@ -168,9 +168,9 @@ def test_product_index_refuses_a_multi_index_outside_the_shape(multi_index):
 
 
 @pytest.mark.parametrize("lam, message", [
-    ([math.nan, 0.5], "finite"),
+    ([math.nan, 0.5], "outside"),
     ([1.0], "one weight per factor"),
-    ([1.5, -0.5], "nonnegative"),
+    ([1.5, -0.5], "outside"),
     ([0.5, 0.25], "sum to 1"),
 ])
 def test_convex_combination_space_refuses_bad_weights(line3, line4, lam, message):
