@@ -210,15 +210,15 @@ def _real(value, what: str, code: str, low: float = -_LARGEST, high: float = _LA
 
 def _real_array(values, what: str, code: str) -> np.ndarray:
     """A table or carrier point as a new float array: ValidationError(code) unless rectangular
-    with finite entries; up to 16 are checked one by one, which is faster than a ufunc."""
+    with finite entries."""
     try:
-        arr = np.asarray(values)
+        arr = np.array(values)
     except ValueError:  # a ragged nesting
         raise ValidationError(code, f"{what} is not a rectangular array") from None
     if arr.dtype.kind not in "iuf":  # True, "1", 10**400, Fractions: one by one through _real
         arr = np.array([_real(v, f"{what} entry", code) for v in arr.flat]).reshape(arr.shape)
-    arr = arr.astype(float, copy=isinstance(values, np.ndarray))
-    if not (all(map(math.isfinite, arr.flat)) if arr.size <= 16 else np.isfinite(arr).all()):
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
         raise ValidationError(code, f"{what} has non-finite entries")
     return arr
 

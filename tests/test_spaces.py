@@ -1,10 +1,11 @@
+import array
 import math
 
 import numpy as np
 import pytest
 
-from kantorovich import (EuclideanSpace, FiniteMetricSpace, MetricViolation, ValidationError,
-                         check_isometric, check_short,
+from kantorovich import (DualPotential, EuclideanSpace, FiniteMetricSpace, MetricViolation,
+                         ValidationError, check_isometric, check_short,
                          convex_combination_space, product_index,
                          tensor_product, validate_metric, vector_distance)
 from kantorovich.samplers import random_metric_space, rng_from
@@ -29,6 +30,16 @@ def test_non_finite_tables_rejected():
 def test_table_is_frozen(line3):
     with pytest.raises(ValueError):
         line3.dist[0, 1] = 99.0
+
+
+def test_arrays_are_copied_from_buffers_the_caller_keeps():
+    table = np.array([[0.0, 1.0], [1.0, 0.0]])
+    values = array.array("d", [0.0, 2.0])
+    space = FiniteMetricSpace(memoryview(table))
+    line = EuclideanSpace(memoryview(table))
+    potential = DualPotential((0, 1), values)
+    table[0, 1] = values[1] = 99.0
+    assert space.dist[0, 1] == line.points[0, 1] == 1.0 and potential.values[1] == 2.0
 
 
 def test_validate_metric_catches_each_axiom():
