@@ -208,17 +208,21 @@ def _real(value, what: str, code: str, low: float = -_LARGEST, high: float = _LA
     return value
 
 
-def _real_array(values, what: str, code: str) -> np.ndarray:
+def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray:
     """A table or carrier point as a new float array: ValidationError(code) unless rectangular
-    with finite entries."""
+    with real entries, all finite unless ``finite`` is False (a coupling's masses, which
+    ``validate_coupling`` reports on). Entries of an array of objects go through _real, which
+    never takes NaN."""
     try:
         arr = np.array(values)
     except ValueError:  # a ragged nesting
         raise ValidationError(code, f"{what} is not a rectangular array") from None
     if arr.dtype.kind not in "iuf":  # True, "1", 10**400, Fractions: one by one through _real
-        arr = np.array([_real(v, f"{what} entry", code) for v in arr.flat]).reshape(arr.shape)
+        bound = _LARGEST if finite else math.inf
+        arr = np.array([_real(v, f"{what} entry", code, -bound, bound)
+                        for v in arr.flat]).reshape(arr.shape)
     arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ValidationError(code, f"{what} has non-finite entries")
     return arr
 

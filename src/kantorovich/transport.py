@@ -19,6 +19,9 @@ reports them. The right-side duals v are folded into one 1-Lipschitz
 function on the joint support by f(z) = min_j (d(z, y_j) - v_j), normalized
 to 0 at the first point; the cost, that function, the duality gap and the
 coupling's masses are computed in these integers, each divided once at the end.
+Where every scaled cost fits in 63 bits, the steps that set a solve up or
+read it back (the first column sweep, the sorts of long cost rows and the
+potential) run on the int64 table; the shortest-path phases run in Python ints.
 
 Results keep no m x n array. A coupling stores only its nonzero entries:
 m + n - 1 where no ties in the cost table make the optimum degenerate, a few
@@ -31,7 +34,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import compress
 from operator import sub
 from typing import NamedTuple
 
@@ -56,7 +59,9 @@ class Coupling:
     Only the nonzero entries are stored: their flat positions in the
     matrix, in the smallest unsigned type that holds every position, and
     their masses. ``matrix`` rebuilds the dense read-only array on each
-    access, so take it once.
+    access, so take it once. The masses must be real numbers (not True or
+    "1") in a rectangular array; non-finite ones are kept, for
+    ``validate_coupling`` to report.
     """
 
     p: DiscreteMeasure
@@ -66,7 +71,7 @@ class Coupling:
     _mass: np.ndarray
 
     def __init__(self, p: DiscreteMeasure, q: DiscreteMeasure, matrix):
-        dense = np.asarray(matrix, dtype=float)
+        dense = _real_array(matrix, "coupling", "invariant.measure", finite=False)
         index = np.flatnonzero(dense).astype(np.min_scalar_type(dense.size))
         for name, value in (("p", p), ("q", q), ("shape", dense.shape),
                             ("_index", index), ("_mass", dense.ravel()[index])):
@@ -129,7 +134,7 @@ class _Problem(NamedTuple):
 
     extra: list[int]  # q's support points outside p.support
     cost: list[list[int]]  # d(p.support[i], q.support[j]) * unit
-    far: np.ndarray  # d(extra[r], q.support[j]) * unit, of int64 or Python ints
+    table: np.ndarray  # cost's rows, then d(extra[r], q.support[j]) * unit; int64 or objects
     unit: int  # a power of two, over the rows of p.support and of extra
     a: list[int]  # p's weights * den
     b: list[int]  # q's weights * den
@@ -138,6 +143,8 @@ class _Problem(NamedTuple):
 
 # Tables of up to _SMALL entries skip numpy; larger ones are read _BLOCK entries at a time.
 _SMALL, _BLOCK = 32, 2048
+# Rows of at least _SORT_MIN int64 costs are sorted by numpy.
+_SORT_MIN = 32
 
 
 def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
@@ -180,7 +187,7 @@ def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
                   for block in held or map(read, starts) for row in block.tolist()]
         unit = max(d for row in ratios for _, d in row)
         table = np.array([[num * (unit // d) for num, d in row] for row in ratios], dtype=object)
-    return _Problem(extra, table[:m].tolist(), table[m:], unit, weights[:m], weights[m:], den)
+    return _Problem(extra, table[:m].tolist(), table, unit, weights[:m], weights[m:], den)
 
 
 def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
@@ -198,10 +205,13 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     Every supply with mass left is a source and settles first, at distance
     0, so its potential stays 0 until it runs dry. The sources' sweep of
     the cost rows is therefore kept from phase to phase: best[j] is the
-    first source of least cost in column j, low[j] that cost, and the two
-    seed the heap. Only the columns whose best source runs dry are swept
-    again, from that source's list of the columns it owns. Each demand keeps
-    the rows with positive flow into it, its tight back arcs.
+    first source of least cost in column j, low[j] that cost, and
+    reach[j] = low[j] - pot[m + j] seeds column j's distance. Only the
+    columns whose best source runs dry are swept again, from that source's
+    list of the columns it owns; reach changes only then and with a lift,
+    and top only with a lift, so a phase that ends at D = 0 leaves both for
+    the next. Each demand keeps the rows with positive flow into it, its
+    tight back arcs.
 
     A supply that runs dry is reached along a back arc and relaxes its row.
     The phase ends at a distance D no larger than ub, the least tentative
@@ -217,13 +227,29 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     first relaxed and kept for the rest of the solve only. A phase that ends
     at D = 0 moves no potential, and skips the lift.
 
+    The heap starts with the demands of reach <= ub only. The phase ends at
+    D <= ub, when the first demand with a deficit pops, and entries pop in
+    (distance, node) order, so an entry above ub would never pop; ties at ub
+    are kept. A demand left out keeps its dist and pred, so every relaxation
+    compares against the same values, and one that improves gets its own
+    entry.
+
+    Where every cost fits in int64 (problem.table is not of objects), the
+    work that only sets the solve up runs on that table: the first sweep is
+    argmin(axis=0), which takes the first least index as col.index does,
+    and a row of at least _SORT_MIN costs is sorted by one stable argsort,
+    which equals sorted((cost, node)) since nodes rise with the index;
+    shorter rows, below the fixed cost of the numpy calls, and tables of
+    objects take the Python-int route. The phases run in Python ints.
+
     Supply equals demand exactly and every supply reaches every demand, so
     each phase finds a path, and each augmentation meets at least one unit
     of the integer demand, so the phases end. Their work grows with the
     support pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
     """
-    cost, a, b = problem.cost, problem.a, problem.b
+    cost, a, b, table = problem.cost, problem.a, problem.b, problem.table
     m, n = len(a), len(b)
+    objects = table.dtype == object
     # Float weights sum to 1 only up to a few ulps, and supply must equal
     # demand exactly: each side is scaled by the other side's sum.
     g = math.gcd(sum(a), sum(b))
@@ -233,27 +259,30 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     pot = [0] * (m + n)
     cols = list(zip(*cost))
     live = list(range(m))  # the sources, in index order
-    low = [min(col) for col in cols]
-    best = [col.index(c) for col, c in zip(cols, low)]
+    if objects:
+        low = [min(col) for col in cols]
+        best = [col.index(c) for col, c in zip(cols, low)]
+    else:
+        low, best = table[:m].min(axis=0).tolist(), table[:m].argmin(axis=0).tolist()
     owned: list[list[int]] = [[] for _ in range(m)]  # owned[i]: columns whose best is i
     for j, i in enumerate(best):
         owned[i].append(j)
     start = [0] * m  # the supplies' distances as a phase starts
     into: list[dict[int, int]] = [{} for _ in range(n)]  # into[j][i]: flow from i to j
     rows: dict[int, list[tuple[int, int]]] = {}  # rows[i]: row i as (cost, node), cheapest first
+    # Each column's reduced cost from its best source, and the largest demand
+    # potential: a lift moves both, a re-sweep its columns' reach.
+    reach, top = low[:], 0
 
     while live:
-        # The sources are settled; each column starts at its reduced cost
-        # from its best source.
-        reach = list(map(sub, low, pot[m:]))
+        # The sources are settled; each column starts at its reach.
         dist = start + reach
         pred = [-1] * m + best
-        heap = list(zip(reach, range(m, m + n)))
-        heapq.heapify(heap)
         # The bound of the row scans: ub falls as demands with a deficit
         # improve, and top stays for the phase.
         ub = min(compress(reach, demand))
-        top = max(pot[m:])
+        heap = [(r, k) for k, r in enumerate(reach, m) if r <= ub]
+        heapq.heapify(heap)
         # A settled node is never relaxed again: its distance is already no
         # larger than the one being offered. Entries above a node's distance
         # are stale.
@@ -265,7 +294,11 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
                 base = d + pot[node]
                 limit = ub + top - base
                 if node not in rows:
-                    rows[node] = sorted(zip(cost[node], range(m, m + n)))
+                    if objects or n < _SORT_MIN:
+                        rows[node] = sorted(zip(cost[node], range(m, m + n)))
+                    else:
+                        order = table[node].argsort(kind="stable")
+                        rows[node] = list(zip(table[node, order].tolist(), (order + m).tolist()))
                 for c, k in rows[node]:
                     if c > limit:
                         break  # this offer and every later one exceed ub
@@ -289,6 +322,7 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
         # moves.
         if d:
             pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
+            reach, top = list(map(sub, low, pot[m:])), max(pot[m:])
 
         # Walk the path back from node to a source: it alternates demand,
         # supply, demand, ..., and each supply on it gains flow towards the
@@ -319,6 +353,7 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
             for j in owned[source] if live else ():
                 best[j] = min(live, key=cols[j].__getitem__)
                 low[j] = cols[j][best[j]]
+                reach[j] = low[j] - pot[m + j]
                 owned[best[j]].append(j)
 
     return {(i, j): f for j, col in enumerate(into) for i, f in col.items()}, scale, pot[m:]
@@ -328,9 +363,20 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int
               v: list[int], problem: _Problem, solver: str) -> TransportResult:
     """Result for an optimal plan over plan_den and the engine's optimal
     right-side duals v, every number computed in the integers of ``problem``
-    and the plan up to one correctly rounded division each (int / int)."""
-    rows = chain(problem.cost, map(np.ndarray.tolist, problem.far))
-    raw = {z: min(map(sub, row, v)) for z, row in zip((*p.support, *problem.extra), rows)}
+    and the plan up to one correctly rounded division each (int / int).
+
+    The potential's rows, min_j(table[z][j] - v[j]), are int64 reductions
+    of _BLOCK entries at a time when the table is int64 and max(v) < 2**63:
+    costs and duals are nonnegative, so no difference overflows. A table of
+    objects takes them in Python ints, row by row."""
+    table = problem.table
+    if table.dtype != object and max(v) < 2**63:
+        right, step = np.array(v, dtype=np.int64), max(1, _BLOCK // len(v))
+        mins = np.concatenate([(table[s:s + step] - right).min(axis=1)
+                               for s in range(0, len(table), step)]).tolist()
+    else:
+        mins = [min(map(sub, row, v)) for row in table.tolist()]
+    raw = dict(zip((*p.support, *problem.extra), mins))
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}
     # The plan's cost times plan_den * unit, its dual value times den * unit.

@@ -4,8 +4,8 @@ KantorovichError, and never warns.
 
 A number argument takes each bad value in turn. A sequence argument takes
 each in place of its first number, and is also given empty. ``Coupling``
-is left out: it holds whatever masses it is given, non-finite ones
-included, for ``validate_coupling`` to report on.
+keeps non-finite masses, for ``validate_coupling`` to report on, so NaN
+and infinities in its matrix return.
 """
 
 import math
@@ -82,6 +82,7 @@ CALLS = [
     ("product_index", K.product_index, ([2, 3], [1, 2]), "ss"),
     ("validate_metric", K.validate_metric, (LINE, 1e-9), "-n"),
     ("vector_distance", K.vector_distance, ([0.0, 0.0], [3.0, 4.0], "l2"), "ss-"),
+    ("Coupling", K.Coupling, (P, Q, [[0.5], [0.5]]), "--s"),
     ("DualPotential", K.DualPotential, ((0, 1), [0.0, 1.0]), "ss"),
     ("DualPotential.value_at", RESULT.dual.value_at, (0,), "n"),
     ("TransportResult", K.TransportResult, (0.0, RESULT.coupling, RESULT.dual, 0.0, "flow"),
@@ -89,9 +90,9 @@ CALLS = [
     ("validate_coupling", K.validate_coupling, (RESULT.coupling, 1e-9), "-n"),
 ]
 
-# The public callables that take no numbers of their own, and Coupling.
+# The public callables that take no numbers of their own.
 NO_NUMBERS = {
-    "Coupling", "KantorovichError", "ParseError", "ValidationError", "barycenter",
+    "KantorovichError", "ParseError", "ValidationError", "barycenter",
     "bistochastic_min", "check_double_quotient", "check_expectation_flatten",
     "check_iota_isometry", "check_ppx_square", "coupling_cost", "curry_flatten", "dirac_kernel",
     "empirical", "empirical_sym", "expectation", "flatten_multiset", "kernel_pushforward",
@@ -168,6 +169,10 @@ REFUSED = {
     "NaN measure tolerance": lambda: K.measures_equal(P, P, math.nan),
     "negative metric tolerance": lambda: K.validate_metric(LINE, -1),
     "mean of no points": lambda: K.mean_point([]),
+    "coupling mass beyond the floats": lambda: K.Coupling(P, Q, [[10**400], [0]]),
+    "ragged coupling": lambda: K.Coupling(P, Q, [[0.5], [0.25, 0.25]]),
+    "coupling text": lambda: K.Coupling(P, Q, [["1"], ["0"]]),
+    "coupling True": lambda: K.Coupling(P, Q, [[True], [False]]),
 }
 
 
