@@ -617,7 +617,7 @@ def _python_certificate(p: DiscreteMeasure, q: DiscreteMeasure):
 
 
 def test_wide_tables_take_the_potential_in_python_ints():
-    # Costs from 2**-450 to 2**401 need 851 bits scaled, and costs of up to
+    # Costs from 2**-450 to 2**401 need 852 bits once scaled, and costs up to
     # 9 * 2**62 give duals past 2**63: neither 10 x 5 table is int64, so the
     # potential's rows are reduced in Python ints, and both must match the
     # reference bit for bit.
