@@ -99,27 +99,29 @@ def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
     return list(raw / raw.sum())
 
 
+def _support(rng: np.random.Generator, space: FiniteMetricSpace, max_support: int) -> list[int]:
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
+    k = int(rng.integers(1, min(max_support, space.n) + 1))
+    return [int(i) for i in rng.choice(space.n, size=k, replace=False)]
+
+
 def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
                    max_support: int = 4, exact: bool = True) -> DiscreteMeasure:
     """Random measure; exact rational weights (denominator 1..12) by default."""
-    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
-    k = int(rng.integers(1, min(max_support, space.n) + 1))
-    support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
+    support = _support(rng, space, max_support)
     if exact:
         den = int(rng.integers(1, 13))
-        return DiscreteMeasure(space, support, simplex_fractions(rng, k, den), den)
-    return DiscreteMeasure(space, support, simplex_floats(rng, k))
+        return DiscreteMeasure(space, support, simplex_fractions(rng, len(support), den), den)
+    return DiscreteMeasure(space, support, simplex_floats(rng, len(support)))
 
 
 def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
                          max_support: int = 4, den: int = 6):
     """Two measures sharing one exact common denominator (brute-force ready)."""
-    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
     out = []
     for _ in range(2):
-        k = int(rng.integers(1, min(max_support, space.n) + 1))
-        support = [int(i) for i in rng.choice(space.n, size=k, replace=False)]
-        out.append(DiscreteMeasure(space, support, simplex_fractions(rng, k, den), den))
+        support = _support(rng, space, max_support)
+        out.append(DiscreteMeasure(space, support, simplex_fractions(rng, len(support), den), den))
     return out[0], out[1]
 
 

@@ -217,6 +217,9 @@ def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray
         arr = np.array(values)
     except ValueError:  # a ragged nesting
         raise ValidationError(code, f"{what} is not a rectangular array") from None
+    if arr.dtype.kind in "iuf" and not isinstance(values, np.ndarray):  # [0, True] reads as ints
+        entries = np.array(values, dtype=object)
+        arr = entries if {bool, np.bool_} & set(map(type, entries.flat)) else arr
     if arr.dtype.kind not in "iuf":  # True, "1", 10**400, Fractions: one by one through _real
         bound = _LARGEST if finite else math.inf
         arr = np.array([_real(v, f"{what} entry", code, -bound, bound)

@@ -19,9 +19,9 @@ reports them. The right-side duals v are folded into one 1-Lipschitz
 function on the joint support by f(z) = min_j (d(z, y_j) - v_j), normalized
 to 0 at the first point; the cost, that function, the duality gap and the
 coupling's masses are computed in these integers, each divided once at the end.
-Where every scaled cost fits in 63 bits, the steps that set a solve up or
-read it back (the first column sweep, the sorts of long cost rows and the
-potential) run on the int64 table; the shortest-path phases run in Python ints.
+The engine runs in Python ints. On p's support f is minus the engine's own
+supply potential, so only the rows of q's points outside p's support are
+scanned, on the int64 table where every scaled cost fits in 63 bits.
 
 Results keep no m x n array. A coupling stores only its nonzero entries:
 m + n - 1 where no ties in the cost table make the optimum degenerate, a few
@@ -143,8 +143,6 @@ class _Problem(NamedTuple):
 
 # Tables of up to _SMALL entries skip numpy; larger ones are read _BLOCK entries at a time.
 _SMALL, _BLOCK = 32, 2048
-# Rows of at least _SORT_MIN int64 costs are sorted by numpy.
-_SORT_MIN = 32
 
 
 def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
@@ -191,7 +189,7 @@ def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
 
 
 def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
-    """Optimal plan as integer masses, their one denominator, and the right-side duals * unit.
+    """Optimal plan as integer masses, their one denominator, and the node potentials * unit.
 
     Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin, *Network
     Flows*, ch. 9) in Python integers. Nodes 0..m-1 are supplies, m..m+n-1
@@ -200,7 +198,8 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     on reduced costs from every supply with mass left, stops at the first
     demand with a deficit, lifts each potential by min(distance, target
     distance) and augments along the path. Heap ties break by node index,
-    which makes the plan deterministic. The duals are the final pot[m:].
+    which makes the plan deterministic. The right-side duals are pot[m:];
+    every supply ships mass along a tight arc, so -pot[i] = min_j (cost[i][j] - pot[m + j]).
 
     Every supply with mass left is a source and settles first, at distance
     0, so its potential stays 0 until it runs dry. The sources' sweep of
@@ -234,22 +233,13 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     compares against the same values, and one that improves gets its own
     entry.
 
-    Where every cost fits in int64 (problem.table is not of objects), the
-    work that only sets the solve up runs on that table: the first sweep is
-    argmin(axis=0), which takes the first least index as col.index does,
-    and a row of at least _SORT_MIN costs is sorted by one stable argsort,
-    which equals sorted((cost, node)) since nodes rise with the index;
-    shorter rows, below the fixed cost of the numpy calls, and tables of
-    objects take the Python-int route. The phases run in Python ints.
-
     Supply equals demand exactly and every supply reaches every demand, so
     each phase finds a path, and each augmentation meets at least one unit
     of the integer demand, so the phases end. Their work grows with the
     support pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
     """
-    cost, a, b, table = problem.cost, problem.a, problem.b, problem.table
+    cost, a, b = problem.cost, problem.a, problem.b
     m, n = len(a), len(b)
-    objects = table.dtype == object
     # Float weights sum to 1 only up to a few ulps, and supply must equal
     # demand exactly: each side is scaled by the other side's sum.
     g = math.gcd(sum(a), sum(b))
@@ -259,11 +249,8 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     pot = [0] * (m + n)
     cols = list(zip(*cost))
     live = list(range(m))  # the sources, in index order
-    if objects:
-        low = [min(col) for col in cols]
-        best = [col.index(c) for col, c in zip(cols, low)]
-    else:
-        low, best = table[:m].min(axis=0).tolist(), table[:m].argmin(axis=0).tolist()
+    low = [min(col) for col in cols]
+    best = [col.index(c) for col, c in zip(cols, low)]
     owned: list[list[int]] = [[] for _ in range(m)]  # owned[i]: columns whose best is i
     for j, i in enumerate(best):
         owned[i].append(j)
@@ -294,11 +281,7 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
                 base = d + pot[node]
                 limit = ub + top - base
                 if node not in rows:
-                    if objects or n < _SORT_MIN:
-                        rows[node] = sorted(zip(cost[node], range(m, m + n)))
-                    else:
-                        order = table[node].argsort(kind="stable")
-                        rows[node] = list(zip(table[node, order].tolist(), (order + m).tolist()))
+                    rows[node] = sorted(zip(cost[node], range(m, m + n)))
                 for c, k in rows[node]:
                     if c > limit:
                         break  # this offer and every later one exceed ub
@@ -356,26 +339,29 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
                 reach[j] = low[j] - pot[m + j]
                 owned[best[j]].append(j)
 
-    return {(i, j): f for j, col in enumerate(into) for i, f in col.items()}, scale, pot[m:]
+    return {(i, j): f for j, col in enumerate(into) for i, f in col.items()}, scale, pot
 
 
 def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int,
-              v: list[int], problem: _Problem, solver: str) -> TransportResult:
-    """Result for an optimal plan over plan_den and the engine's optimal
-    right-side duals v, every number computed in the integers of ``problem``
-    and the plan up to one correctly rounded division each (int / int).
+              pot: list[int], problem: _Problem, solver: str) -> TransportResult:
+    """Result for an optimal plan over plan_den and the engine's optimal node
+    potentials pot, every number computed in the integers of ``problem`` and
+    the plan up to one correctly rounded division each (int / int).
 
-    The potential's rows, min_j(table[z][j] - v[j]), are int64 reductions
-    of _BLOCK entries at a time when the table is int64 and max(v) < 2**63:
-    costs and duals are nonnegative, so no difference overflows. A table of
-    objects takes them in Python ints, row by row."""
-    table = problem.table
+    The potential min_j(table[z][j] - v[j]), v = pot[m:], is -pot[i] on p's
+    rows, as _solve shows, and is scanned on extra's rows only: int64
+    reductions of _BLOCK entries at a time when the table is int64 and
+    max(v) < 2**63 (costs and duals are nonnegative, so no difference
+    overflows), and in Python ints, row by row, otherwise."""
+    m = len(p.support)
+    v, table = pot[m:], problem.table[m:]
+    mins = [-u for u in pot[:m]]
     if table.dtype != object and max(v) < 2**63:
         right, step = np.array(v, dtype=np.int64), max(1, _BLOCK // len(v))
-        mins = np.concatenate([(table[s:s + step] - right).min(axis=1)
-                               for s in range(0, len(table), step)]).tolist()
+        for s in range(0, len(table), step):
+            mins += (table[s:s + step] - right).min(axis=1).tolist()
     else:
-        mins = [min(map(sub, row, v)) for row in table.tolist()]
+        mins += [min(map(sub, row, v)) for row in table.tolist()]
     raw = dict(zip((*p.support, *problem.extra), mins))
     points = tuple(sorted(raw))
     f = {z: raw[z] - raw[points[0]] for z in points}
@@ -438,13 +424,13 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
     n = _integer(math.lcm(*sizes), "common multiset size", "invariant.tuple",
                  cap=MAX_ASSIGNMENT_SIZE)
     problem = _problem(p, q)
-    v = _solve(problem)[2]
+    pot = _solve(problem)[2]
     left = _uniform_expansion(p) * (n // sizes[0])
     right = _uniform_expansion(q) * (n // sizes[1])
     table = p.space.dist[np.ix_(p.support, q.support)]
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
     plan = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
-    return _assemble(p, q, plan, n, v, problem, "assignment")
+    return _assemble(p, q, plan, n, pot, problem, "assignment")
 
 
 def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:

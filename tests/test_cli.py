@@ -206,6 +206,21 @@ def test_non_metric_space_exits_one(fixtures):
     assert json.loads(proc.stderr)["error"]["code"] == "invariant.space"
 
 
+def test_space_files_that_mix_booleans_with_numbers_exit_one(fixtures):
+    # numpy types [0, true] as numbers, so the space guard looks at the
+    # entries themselves
+    bad = fixtures / "mixed.json"
+    for space in ({"kind": "matrix", "dist": [[0, True], [True, 0]]},
+                  {"kind": "euclidean", "points": [[0, True], [1, 0]]}):
+        bad.write_text(json.dumps(space))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dist", "--space", str(bad), "--p", str(fixtures / "p.json"),
+                         "--q", str(fixtures / "p.json")])
+        assert code == 1 and out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["code"] == "invariant.space"
+
+
 def test_console_entry_point_installed():
     # The `kantorovich` executable exists only after an install, so the
     # [project.scripts] target is first run the way a generated

@@ -164,6 +164,9 @@ REFUSED = {
     "text table": lambda: K.FiniteMetricSpace([["0", "1"], ["1", "0"]]),
     "boolean table": lambda: K.FiniteMetricSpace([[False, True], [True, False]]),
     "potential values": lambda: K.DualPotential((0, 1), [True, "1"]),
+    "table mixing True with numbers": lambda: K.FiniteMetricSpace([[0, True], [True, 0]]),
+    "roster mixing True with numbers": lambda: K.EuclideanSpace([[0, True], [1, 0]]),
+    "potential mixing True with numbers": lambda: K.DualPotential((0, 1), [True, 1.0]),
     "NaN short-map tolerance": lambda: K.check_short([0, 1, 2], LINE, LINE, math.nan),
     "NaN isometry tolerance": lambda: K.check_isometric([0, 1, 2], LINE, LINE, math.nan),
     "NaN measure tolerance": lambda: K.measures_equal(P, P, math.nan),
