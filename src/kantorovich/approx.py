@@ -41,15 +41,15 @@ class ApproximationReport:
 
 
 def rationalize(p: DiscreteMeasure, epsilon: float) -> ApproximationReport:
-    """Round weights down to multiples of 1/K, K = ceil(1/epsilon), and give
-    the slack to the last support point.
+    """Round weights down to multiples of 1/K, K = ceil(1/epsilon) for epsilon
+    in (0, 1], and give the slack to the last support point.
 
     Each rounded weight loses less than epsilon, so the transport error is
     below (n-1) * epsilon * diam(supp p); the whole construction runs in
     exact arithmetic, hence weights that are already multiples of 1/K come
     back unchanged with error exactly 0.
     """
-    epsilon = _real(epsilon, "epsilon", "invariant.weights", math.ulp(0.0))
+    epsilon = _real(epsilon, "epsilon", "invariant.weights", math.ulp(0.0), 1.0)
     eps = Fraction(epsilon)
     k = max(1, math.ceil(1 / eps))
     nums, den = _exact_weights(p)

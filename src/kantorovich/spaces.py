@@ -210,9 +210,9 @@ def _real(value, what: str, code: str, low: float = -_LARGEST, high: float = _LA
 
 def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray:
     """A table or carrier point as a new float array: ValidationError(code) unless rectangular
-    with real entries, all finite unless ``finite`` is False (a coupling's masses, which
-    ``validate_coupling`` reports on). Entries of an array of objects go through _real, which
-    never takes NaN."""
+    with real entries, all at most 2**500 in magnitude unless ``finite`` is False (a coupling's
+    masses, which ``validate_coupling`` reports on). Entries of an array of objects go through
+    _real, which never takes NaN."""
     try:
         arr = np.array(values)
     except ValueError:  # a ragged nesting
@@ -220,13 +220,15 @@ def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray
     if arr.dtype.kind in "iuf" and not isinstance(values, np.ndarray):  # [0, True] reads as ints
         entries = np.array(values, dtype=object)
         arr = entries if {bool, np.bool_} & set(map(type, entries.flat)) else arr
+    # At most 2**500: sums of up to 2**20 such distances, and squares of differences of such
+    # coordinates, stay finite.
+    bound = 2.0**500 if finite else math.inf
     if arr.dtype.kind not in "iuf":  # True, "1", 10**400, Fractions: one by one through _real
-        bound = _LARGEST if finite else math.inf
         arr = np.array([_real(v, f"{what} entry", code, -bound, bound)
                         for v in arr.flat]).reshape(arr.shape)
     arr = arr.astype(float, copy=False)
-    if finite and not np.isfinite(arr).all():
-        raise ValidationError(code, f"{what} has non-finite entries")
+    if finite and not (np.abs(arr) <= bound).all():  # NaN fails it too
+        raise ValidationError(code, f"{what} has non-finite entries or entries above 2**500")
     return arr
 
 

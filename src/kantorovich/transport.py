@@ -375,7 +375,8 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int
         matrix[i, j] = k / plan_den
     return TransportResult(cost=primal / (plan_den * problem.unit),
                            coupling=Coupling(p, q, matrix),
-                           dual=DualPotential(points, [f[z] / problem.unit for z in points]),
+                           dual=DualPotential(points,
+                                              np.array([f[z] / problem.unit for z in points])),
                            gap=gap / (plan_den * problem.den * problem.unit), solver=solver)
 
 

@@ -1,8 +1,12 @@
+import contextlib
+import io
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from kantorovich import DiscreteMeasure, FiniteMetricSpace
+from kantorovich.cli import main
 
 
 @pytest.fixture
@@ -28,3 +32,27 @@ def half_half(line3):
 @pytest.fixture
 def quarter_three(line3):
     return DiscreteMeasure(line3, [1, 2], [Fraction(1, 4), Fraction(3, 4)])
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def cli():
+    """The command line in process: ``cli(*args)`` runs ``kantorovich.cli.main``
+    on the arguments as strings, with stdout and stderr captured, and returns the
+    exit code and both texts. SystemExit gives its code, as the interpreter would.
+    Any other exception fails the test, so a warning that ``-W error`` raises
+    inside a command is not turned into stderr text."""
+    def run(*args) -> CliRun:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([str(arg) for arg in args])
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+        return CliRun(code, out.getvalue(), err.getvalue())
+    return run

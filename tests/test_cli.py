@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import re
 import shutil
@@ -12,11 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kantorovich.cli import main
 from kantorovich.tolerances import (MAX_ALGEBRA_DIM, MAX_ASSIGNMENT_SIZE, MAX_RANDOM_POINTS,
                                     MAX_SAMPLE_SIZE, MAX_TRIALS)
 
-CLI = [sys.executable, "-m", "kantorovich.cli"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -39,14 +35,9 @@ def fixtures(tmp_path):
     return tmp_path
 
 
-def run_cli(*args):
-    return subprocess.run(CLI + [str(a) for a in args],
-                          capture_output=True, text=True)
-
-
-def test_dist_exit_zero_and_report_shape(fixtures):
-    proc = run_cli("dist", "--space", fixtures / "space.json",
-                   "--p", fixtures / "p.json", "--q", fixtures / "q.json")
+def test_dist_exit_zero_and_report_shape(fixtures, cli):
+    proc = cli("dist", "--space", fixtures / "space.json",
+               "--p", fixtures / "p.json", "--q", fixtures / "q.json")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["cost"] == pytest.approx(1.25)
@@ -57,26 +48,26 @@ def test_dist_exit_zero_and_report_shape(fixtures):
     assert all(len(v) == 64 for v in report["inputs"].values())
 
 
-def test_dist_works_from_csv_and_euclidean(fixtures):
+def test_dist_works_from_csv_and_euclidean(fixtures, cli):
     for space in ("space.csv", "euclid.json"):
-        proc = run_cli("dist", "--space", fixtures / space,
-                       "--p", fixtures / "p.json", "--q", fixtures / "q.json")
+        proc = cli("dist", "--space", fixtures / space,
+                   "--p", fixtures / "p.json", "--q", fixtures / "q.json")
         assert proc.returncode == 0, proc.stderr
 
 
-def test_solver_flag_is_respected(fixtures):
+def test_solver_flag_is_respected(fixtures, cli):
     for solver in ("flow", "brute", "auto"):
-        proc = run_cli("dist", "--space", fixtures / "space.json",
-                       "--p", fixtures / "p.json", "--q", fixtures / "q.json",
-                       "--solver", solver)
+        proc = cli("dist", "--space", fixtures / "space.json",
+                   "--p", fixtures / "p.json", "--q", fixtures / "q.json",
+                   "--solver", solver)
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["cost"] == pytest.approx(1.25)
 
 
-def test_coupling_report_is_valid_coupling(fixtures):
-    proc = run_cli("coupling", "--space", fixtures / "space.json",
-                   "--p", fixtures / "p.json", "--q", fixtures / "q.json")
+def test_coupling_report_is_valid_coupling(fixtures, cli):
+    proc = cli("coupling", "--space", fixtures / "space.json",
+               "--p", fixtures / "p.json", "--q", fixtures / "q.json")
     report = json.loads(proc.stdout)
     matrix = report["coupling"]["matrix"]
     assert report["coupling_violations"] == []
@@ -84,27 +75,27 @@ def test_coupling_report_is_valid_coupling(fixtures):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_dual_certifies_cost(fixtures):
-    proc = run_cli("dual", "--space", fixtures / "space.json",
-                   "--p", fixtures / "p.json", "--q", fixtures / "q.json")
+def test_dual_certifies_cost(fixtures, cli):
+    proc = cli("dual", "--space", fixtures / "space.json",
+               "--p", fixtures / "p.json", "--q", fixtures / "q.json")
     report = json.loads(proc.stdout)
     assert report["dual_value"] == pytest.approx(report["cost"], abs=1e-8)
     assert len(report["potential"]["points"]) == len(report["potential"]["values"])
 
 
-def test_power_dist_both_kinds(fixtures):
-    tup = run_cli("power-dist", "--space", fixtures / "space.json",
-                  "--a", fixtures / "a.json", "--b", fixtures / "b.json")
+def test_power_dist_both_kinds(fixtures, cli):
+    tup = cli("power-dist", "--space", fixtures / "space.json",
+              "--a", fixtures / "a.json", "--b", fixtures / "b.json")
     assert json.loads(tup.stdout)["distance"] == pytest.approx(4 / 3)
-    ms = run_cli("power-dist", "--space", fixtures / "space.json",
-                 "--a", fixtures / "a.json", "--b", fixtures / "b.json",
-                 "--kind", "multiset")
+    ms = cli("power-dist", "--space", fixtures / "space.json",
+             "--a", fixtures / "a.json", "--b", fixtures / "b.json",
+             "--kind", "multiset")
     assert json.loads(ms.stdout)["distance"] == 0.0
 
 
-def test_laws_deterministic_and_exit_zero(fixtures):
-    first = run_cli("laws", "--trials", "10", "--seed", "7")
-    second = run_cli("laws", "--trials", "10", "--seed", "7")
+def test_laws_deterministic_and_exit_zero(fixtures, cli):
+    first = cli("laws", "--trials", "10", "--seed", "7")
+    second = cli("laws", "--trials", "10", "--seed", "7")
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout  # byte-identical
     report = json.loads(first.stdout)
@@ -112,113 +103,140 @@ def test_laws_deterministic_and_exit_zero(fixtures):
     assert len(report["results"]) >= 20
 
 
-def test_laws_csv_output():
-    proc = run_cli("laws", "--trials", "5", "--seed", "1", "--out", "csv")
+def test_laws_csv_output(cli):
+    proc = cli("laws", "--trials", "5", "--seed", "1", "--out", "csv")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "law,trials,worst_discrepancy,tolerance,pass"
     assert all(line.endswith("true") for line in lines[1:])
 
 
-def test_algebra_check_runs_clean():
-    proc = run_cli("algebra-check", "--dim", "2", "--norm", "linf",
-                   "--trials", "20", "--seed", "3")
+def test_algebra_check_runs_clean(cli):
+    proc = cli("algebra-check", "--dim", "2", "--norm", "linf",
+               "--trials", "20", "--seed", "3")
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["all_pass"] is True
     assert report["carrier"] == {"dim": 2, "norm": "linf"}
 
 
-def test_approx_rationalize_within_bound(fixtures):
-    proc = run_cli("approx", "--space", fixtures / "space.json",
-                   "--p", fixtures / "float_p.json",
-                   "--mode", "rationalize", "--epsilon", "0.05")
+def test_approx_rationalize_within_bound(fixtures, cli):
+    proc = cli("approx", "--space", fixtures / "space.json",
+               "--p", fixtures / "float_p.json",
+               "--mode", "rationalize", "--epsilon", "0.05")
     report = json.loads(proc.stdout)
     assert proc.returncode == 0
     assert report["within_bound"] is True
     assert report["w1_error"] <= report["bound"]
 
 
-def test_approx_truncate(fixtures):
-    proc = run_cli("approx", "--space", fixtures / "space.json",
-                   "--p", fixtures / "q.json",
-                   "--mode", "truncate", "--center", "2", "--radius", "0.5")
+def test_approx_truncate(fixtures, cli):
+    proc = cli("approx", "--space", fixtures / "space.json",
+               "--p", fixtures / "q.json",
+               "--mode", "truncate", "--center", "2", "--radius", "0.5")
     report = json.loads(proc.stdout)
     assert proc.returncode == 0
     # the 1/4 mass at point 1 (distance 1 from 2) moves onto the center
     assert report["w1_error"] == pytest.approx(0.25)
 
 
-def test_approx_study_deterministic_csv(fixtures):
+def test_approx_study_deterministic_csv(fixtures, cli):
     args = ("approx", "--space", fixtures / "space.json",
             "--p", fixtures / "p.json", "--mode", "study",
             "--sizes", "4,8", "--trials", "6", "--seed", "2", "--out", "csv")
-    first, second = run_cli(*args), run_cli(*args)
+    first, second = cli(*args), cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.splitlines()[0] == "n,median_w1,trials"
 
 
-def test_sample_deterministic(fixtures):
+def test_sample_deterministic(fixtures, cli):
     args = ("sample", "--space", fixtures / "space.json",
             "--p", fixtures / "p.json", "--size", "10", "--seed", "4")
-    first, second = run_cli(*args), run_cli(*args)
+    first, second = cli(*args), cli(*args)
     assert first.stdout == second.stdout
     report = json.loads(first.stdout)
     assert len(report["entries"]) == 10
     assert report["rng"] == "numpy-pcg64"
 
 
-def test_malformed_measure_exits_one(fixtures):
+def test_malformed_measure_exits_one(fixtures, cli):
     bad = fixtures / "bad.json"
     bad.write_text('{"support": [0, 1]}')  # no weights at all
-    proc = run_cli("dist", "--space", fixtures / "space.json",
-                   "--p", bad, "--q", fixtures / "q.json")
+    proc = cli("dist", "--space", fixtures / "space.json",
+               "--p", bad, "--q", fixtures / "q.json")
     assert proc.returncode == 1
     assert proc.stdout == ""
     err = json.loads(proc.stderr)
     assert err["error"]["code"] == "parse.measure"
 
 
-def test_invalid_weights_exit_one(fixtures):
+def test_invalid_weights_exit_one(fixtures, cli):
     bad = fixtures / "bad.json"
     bad.write_text('{"support": [0, 1], "weights": [0.9, 0.9]}')
-    proc = run_cli("dist", "--space", fixtures / "space.json",
-                   "--p", bad, "--q", fixtures / "q.json")
+    proc = cli("dist", "--space", fixtures / "space.json",
+               "--p", bad, "--q", fixtures / "q.json")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"]["code"].startswith("invariant.")
 
 
-def test_missing_file_exits_one(fixtures):
-    proc = run_cli("dist", "--space", fixtures / "space.json",
-                   "--p", fixtures / "nowhere.json", "--q", fixtures / "q.json")
+def test_missing_file_exits_one(fixtures, cli):
+    proc = cli("dist", "--space", fixtures / "space.json",
+               "--p", fixtures / "nowhere.json", "--q", fixtures / "q.json")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"]["code"] == "io.not_found"
 
 
-def test_non_metric_space_exits_one(fixtures):
+def test_non_metric_space_exits_one(fixtures, cli):
     bad = fixtures / "badspace.json"
     bad.write_text(json.dumps({"kind": "matrix",
                                "dist": [[0, 1, 9], [1, 0, 1], [9, 1, 0]]}))
-    proc = run_cli("dist", "--space", bad,
-                   "--p", fixtures / "p.json", "--q", fixtures / "q.json")
+    proc = cli("dist", "--space", bad,
+               "--p", fixtures / "p.json", "--q", fixtures / "q.json")
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"]["code"] == "invariant.space"
 
 
-def test_space_files_that_mix_booleans_with_numbers_exit_one(fixtures):
+def test_space_files_that_mix_booleans_with_numbers_exit_one(fixtures, cli):
     # numpy types [0, true] as numbers, so the space guard looks at the
     # entries themselves
     bad = fixtures / "mixed.json"
     for space in ({"kind": "matrix", "dist": [[0, True], [True, 0]]},
                   {"kind": "euclidean", "points": [[0, True], [1, 0]]}):
         bad.write_text(json.dumps(space))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["dist", "--space", str(bad), "--p", str(fixtures / "p.json"),
-                         "--q", str(fixtures / "p.json")])
-        assert code == 1 and out.getvalue() == ""
-        assert json.loads(err.getvalue())["error"]["code"] == "invariant.space"
+        proc = cli("dist", "--space", bad, "--p", fixtures / "p.json", "--q", fixtures / "p.json")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == "invariant.space"
+
+
+def test_numbers_near_the_float_limit_exit_one_with_error_json(fixtures, cli):
+    # Tables and points near the float limit overflowed in the sums and
+    # squares of power-dist and dist, and a huge epsilon in rationalize's
+    # bound: a traceback, "Infinity" in a report, or a warning before the
+    # error JSON. Entries above 2**500 and an epsilon above 1 are refused.
+    (fixtures / "huge.json").write_text(json.dumps(
+        {"kind": "matrix", "dist": [[0, 1.7e308], [1.7e308, 0]]}))
+    (fixtures / "far.json").write_text(json.dumps(
+        {"kind": "euclidean", "norm": "l2", "points": [[1e200], [-1e200]]}))
+    (fixtures / "zeros.json").write_text("[0, 0]")
+    (fixtures / "ones.json").write_text("[1, 1]")
+    (fixtures / "float3.json").write_text(
+        json.dumps({"support": [0, 1, 2], "weights": [0.2, 0.3, 0.5]}))
+    power = ("power-dist", "--space", fixtures / "huge.json",
+             "--a", fixtures / "zeros.json", "--b", fixtures / "ones.json")
+    cases = (
+        (power, "invariant.space"),
+        ((*power, "--kind", "multiset"), "invariant.space"),
+        (("dist", "--space", fixtures / "far.json", "--p", fixtures / "p.json",
+          "--q", fixtures / "p.json"), "invariant.space"),
+        (("approx", "--space", fixtures / "space.json", "--p", fixtures / "float3.json",
+          "--mode", "rationalize", "--epsilon", "1e308"), "invariant.weights"),
+    )
+    for argv, code in cases:
+        proc = cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == code
 
 
 def test_console_entry_point_installed():
@@ -251,6 +269,64 @@ def test_console_entry_point_installed():
             assert sub in choices
 
 
+# ``python -m kantorovich.cli`` runs the module as ``runpy.run_module`` does
+# here, with sys.argv set. One child interpreter runs each command so, and
+# points file descriptors 1 and 2 at files of its own, so that the bytes
+# compared are the bytes the process writes.
+_CHILD = """\
+import json, os, runpy, sys
+work, commands, codes = sys.argv[1], json.loads(sys.argv[2]), []
+for i, argv in enumerate(commands):
+    with open(os.path.join(work, f"{i}.out"), "wb") as out, \\
+            open(os.path.join(work, f"{i}.err"), "wb") as err:
+        os.dup2(out.fileno(), 1)
+        os.dup2(err.fileno(), 2)
+        sys.argv[1:] = argv
+        try:
+            runpy.run_module("kantorovich.cli", run_name="__main__")
+        except SystemExit as exc:
+            codes.append(0 if exc.code is None else exc.code)
+        sys.stdout.flush()
+        sys.stderr.flush()
+with open(os.path.join(work, "codes.json"), "w") as fh:
+    json.dump(codes, fh)
+"""
+
+
+def test_the_in_process_runner_matches_the_module_entry(fixtures, cli):
+    # One command per subcommand, run through the real ``-m`` entry in a
+    # child interpreter and through the ``cli`` fixture: the same exit code,
+    # stdout bytes and stderr bytes. The child is another process, so this
+    # also checks that sample, the approx study and the law suite give the
+    # same bytes from one process to the next.
+    inputs = ["--space", fixtures / "space.json", "--p", fixtures / "p.json"]
+    commands = [
+        ["dist", *inputs, "--q", fixtures / "q.json"],
+        ["coupling", *inputs, "--q", fixtures / "q.json"],
+        ["dual", *inputs, "--q", fixtures / "q.json"],
+        ["power-dist", "--space", fixtures / "space.json", "--a", fixtures / "a.json",
+         "--b", fixtures / "b.json", "--kind", "multiset"],
+        ["laws", "--trials", "10", "--seed", "7"],
+        ["algebra-check", "--dim", "2", "--norm", "linf", "--trials", "20", "--seed", "3"],
+        ["approx", *inputs, "--mode", "study", "--sizes", "4,8", "--trials", "6",
+         "--seed", "2", "--out", "csv"],
+        ["sample", *inputs, "--size", "10", "--seed", "4"],
+    ]
+    commands = [[str(arg) for arg in argv] for argv in commands]
+    work = fixtures / "child"
+    work.mkdir()
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(work), json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads((work / "codes.json").read_text())
+    assert len(codes) == len(commands)
+    for i, argv in enumerate(commands):
+        run = cli(*argv)
+        assert codes[i] == run.returncode == 0, argv
+        assert (work / f"{i}.out").read_bytes() == run.stdout.encode(), argv
+        assert (work / f"{i}.err").read_bytes() == run.stderr.encode(), argv
+
+
 # sha256 of the stdout of solver reports, so that a change to any bit of a
 # cost, gap, coupling or potential fails here. The laws and algebra-check
 # reports go through LAPACK and BLAS, whose last bits can vary between
@@ -275,7 +351,7 @@ _REPORTS = (
 )
 
 
-def test_solver_reports_keep_their_bytes(fixtures):
+def test_solver_reports_keep_their_bytes(fixtures, cli):
     # A 6 x 4 grid under l2, with float weights on alternate points.
     (fixtures / "grid.json").write_text(json.dumps(
         {"kind": "euclidean", "norm": "l2",
@@ -287,26 +363,23 @@ def test_solver_reports_keep_their_bytes(fixtures):
     for command, files, digest in _REPORTS:
         argv = command.split()
         for flag, name in zip(("--space", "--p", "--q"), files):
-            argv += [flag, str(fixtures / name)]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, (command, files)
+            argv += [flag, fixtures / name]
+        proc = cli(*argv)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (command, files)
 
 
-def test_power_dist_refuses_multisets_above_the_assignment_cap(fixtures):
+def test_power_dist_refuses_multisets_above_the_assignment_cap(fixtures, cli):
     big = fixtures / "big.json"
     big.write_text(json.dumps([i % 3 for i in range(MAX_ASSIGNMENT_SIZE + 1)]))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["power-dist", "--space", str(fixtures / "space.json"), "--a", str(big),
-                     "--b", str(big), "--kind", "multiset"])
-    assert code == 1
-    assert out.getvalue() == ""
-    assert json.loads(err.getvalue())["error"]["code"] == "invariant.size_cap"
+    proc = cli("power-dist", "--space", fixtures / "space.json", "--a", big, "--b", big,
+               "--kind", "multiset")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["code"] == "invariant.size_cap"
 
 
-def test_usage_errors_exit_one_with_error_json(fixtures):
+def test_usage_errors_exit_one_with_error_json(fixtures, cli):
     # Exit status 2 is reserved for law-suite failures; a bad invocation
     # is a validation failure and must follow the stderr-JSON contract.
     cases = (
@@ -317,7 +390,7 @@ def test_usage_errors_exit_one_with_error_json(fixtures):
         ("no-such-command",),                                     # unknown subcommand
     )
     for argv in cases:
-        proc = run_cli(*argv)
+        proc = cli(*argv)
         assert proc.returncode == 1, argv
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == "cli.arguments"
@@ -438,9 +511,8 @@ def _has_boolean(data) -> bool:
 @example(command="--size", space=_GOOD_SPACE, p=_GOOD_MEASURE, q=_GOOD_MEASURE, option="0")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, option):
-    # In-process, so that many inputs cost no interpreter start-ups: exit 0,
-    # or exit 1 with nothing on stdout and error JSON with a code on stderr.
+def test_malformed_files_keep_the_exit_contract(tmp_path, cli, command, space, p, q, option):
+    # Exit 0, or exit 1 with nothing on stdout and error JSON with a code on stderr.
     # JSON true/false in a measure or index file is no number: such a file
     # is refused, and so is an index file that is not a flat array of
     # integers. ``option`` is the value of the one numeric option a command
@@ -486,12 +558,8 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
     else:
         argv = ["dist", *inputs, "--q", paths["q"], "--solver", command]
         read = [p, q]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refused an option value
-            code = exc.code
+    proc = cli(*argv)
+    code = proc.returncode
     assert code in (0, 1)
     if any(_has_boolean(m) for m in read):
         assert code == 1
@@ -499,12 +567,12 @@ def test_malformed_files_keep_the_exit_contract(tmp_path, command, space, p, q, 
         assert code == 1
     if _below_minimum(argv):
         assert code == 1
-        assert json.loads(err.getvalue())["error"]["code"] == "cli.arguments"
+        assert json.loads(proc.stderr)["error"]["code"] == "cli.arguments"
     if _above_cap(argv):
         assert code == 1
-        assert json.loads(err.getvalue())["error"]["code"] == "invariant.size_cap"
+        assert json.loads(proc.stderr)["error"]["code"] == "invariant.size_cap"
     if code == 1:
-        assert out.getvalue() == ""
-        assert json.loads(err.getvalue())["error"]["code"]
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"]
     else:
-        json.loads(out.getvalue())
+        json.loads(proc.stdout)

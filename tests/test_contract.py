@@ -19,7 +19,7 @@ from kantorovich import KantorovichError
 
 BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True,
        "np.True_": np.True_, "2.5": 2.5, "2.0": 2.0, "-1": -1, "10**400": 10**400,
-       "'1'": "1", "[]": []}
+       "1e308": 1e308, "-1e308": -1e308, "'1'": "1", "[]": []}
 
 LINE = K.FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 P = K.DiscreteMeasure(LINE, [0, 2], [1, 1], 2)

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 from fractions import Fraction
 
@@ -8,7 +6,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kantorovich import KantorovichError, ParseError, ValidationError
-from kantorovich.cli import main
 from kantorovich.fileio import (dump_canonical, load_indices, load_measure,
                                 load_space, measure_to_json, sha256_file)
 
@@ -197,7 +194,7 @@ def _commands(name: str) -> list[list[str]]:
 
 @pytest.mark.parametrize("name,content", [(name, content) for name, _, content in _HOLES],
                          ids=[f"{name}-{kind}" for name, kind, _ in _HOLES])
-def test_malformed_content_is_the_loaders_parse_error(tmp_path, monkeypatch, line3,
+def test_malformed_content_is_the_loaders_parse_error(tmp_path, monkeypatch, line3, cli,
                                                       name, content):
     for good, text in _GOOD.items():
         (tmp_path / good).write_text(text)
@@ -210,11 +207,10 @@ def test_malformed_content_is_the_loaders_parse_error(tmp_path, monkeypatch, lin
     # Every command that reads the file exits 1 with error JSON on stderr.
     monkeypatch.chdir(tmp_path)
     for argv in _commands(name):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            assert main(argv) == 1, argv
-        assert out.getvalue() == ""
-        assert json.loads(err.getvalue())["error"]["code"] == _CODES[name]
+        proc = cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == _CODES[name]
 
 
 def test_csv_cells_beyond_a_float_are_non_finite(tmp_path):
