@@ -30,12 +30,12 @@ more where ties do. A potential stores its values as one float array.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -88,23 +88,37 @@ class Coupling:
 @dataclass(frozen=True, slots=True, eq=False)
 class DualPotential:
     """A function on the joint support, 1-Lipschitz within tau_metric;
-    ``values`` is a read-only array of finite floats aligned with ``points``."""
+    ``points`` are distinct integers, and ``values`` is a read-only array of
+    finite floats aligned with them."""
 
     points: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        points = tuple(_integer(z, "potential point", "invariant.dual") for z in self.points)
+        if len(set(points)) < len(points):
+            raise ValidationError("invariant.dual", "potential has a repeated point")
         values = _real_array(self.values, "potential", "invariant.dual")
-        if values.shape != (len(self.points),):
+        if values.shape != (len(points),):
             raise ValidationError("invariant.dual",
                                   "potential needs one finite value per point")
         values.setflags(write=False)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
 
     def value_at(self, index: int) -> float:
         if index not in self.points:
             raise ValidationError("invariant.dual", f"potential undefined at {index!r}")
         return float(self.values[self.points.index(index)])
+
+
+def _unguarded(cls, **fields):
+    """A Coupling or DualPotential from arrays this module made, past the
+    guards that its public constructor runs on a caller's input."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -196,47 +210,19 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     demands; the node potentials keep every reduced cost
     cost[i][j] + pot[i] - pot[m + j] nonnegative. Each phase runs Dijkstra
     on reduced costs from every supply with mass left, stops at the first
-    demand with a deficit, lifts each potential by min(distance, target
+    demand with a deficit, lifts each potential by min(distance, end
     distance) and augments along the path. Heap ties break by node index,
     which makes the plan deterministic. The right-side duals are pot[m:];
     every supply ships mass along a tight arc, so -pot[i] = min_j (cost[i][j] - pot[m + j]).
 
-    Every supply with mass left is a source and settles first, at distance
-    0, so its potential stays 0 until it runs dry. The sources' sweep of
-    the cost rows is therefore kept from phase to phase: best[j] is the
-    first source of least cost in column j, low[j] that cost, and
-    reach[j] = low[j] - pot[m + j] seeds column j's distance. Only the
-    columns whose best source runs dry are swept again, from that source's
-    list of the columns it owns; reach changes only then and with a lift,
-    and top only with a lift, so a phase that ends at D = 0 leaves both for
-    the next. Each demand keeps the rows with positive flow into it, its
-    tight back arcs.
-
-    A supply that runs dry is reached along a back arc and relaxes its row.
-    The phase ends at a distance D no larger than ub, the least tentative
-    distance of any demand with a deficit so far; top is the largest demand
-    potential of the phase. Supply i popped at distance d offers demand k at
-    least d + pot[i] + c - top, so the row is scanned cheapest first, and the
-    scan stops at the first cost c > ub - (d + pot[i]) + top. A pruned offer
-    lies beyond D: its node is not popped before the phase ends, so the
-    settle order and the pred of every settled node are those of a full
-    scan, and its lift is min(distance, D) = D either way, so the potentials
-    and the plan are unchanged too. Offers at the bound are kept, since ties
-    at D decide which demand ends the phase. Each row is sorted when it is
-    first relaxed and kept for the rest of the solve only. A phase that ends
-    at D = 0 moves no potential, and skips the lift.
-
-    The heap starts with the demands of reach <= ub only. The phase ends at
-    D <= ub, when the first demand with a deficit pops, and entries pop in
-    (distance, node) order, so an entry above ub would never pop; ties at ub
-    are kept. A demand left out keeps its dist and pred, so every relaxation
-    compares against the same values, and one that improves gets its own
-    entry.
-
-    Supply equals demand exactly and every supply reaches every demand, so
-    each phase finds a path, and each augmentation meets at least one unit
-    of the integer demand, so the phases end. Their work grows with the
-    support pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
+    The sources' sweep of the cost rows (best, low, reach) is kept across
+    phases; potentials and distances are held offset by shift, so a lift
+    moves only the nodes settled below its end distance; a dry supply's row
+    is scanned cheapest first, up to the bound ub + top; and a heap entry
+    (dist, node) is the one int dist << s | node. README's account of the
+    ``flow`` route shows that none of this changes the plan or the
+    potentials, and that the phases end. Their work grows with the support
+    pairs m * n, which are capped at MAX_SUPPORT_PAIRS.
     """
     cost, a, b = problem.cost, problem.a, problem.b
     m, n = len(a), len(b)
@@ -246,7 +232,9 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     supply = [w * (sum(b) // g) for w in a]
     demand = [w * (sum(a) // g) for w in b]
     scale = problem.den * (sum(b) // g)
-    pot = [0] * (m + n)
+    s = (m + n).bit_length()
+    mask = (1 << s) - 1
+    pot, shift = [0] * (m + n), 0  # pot[i] of a supply with mass left is never read
     cols = list(zip(*cost))
     live = list(range(m))  # the sources, in index order
     low = [min(col) for col in cols]
@@ -254,58 +242,64 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     owned: list[list[int]] = [[] for _ in range(m)]  # owned[i]: columns whose best is i
     for j, i in enumerate(best):
         owned[i].append(j)
-    start = [0] * m  # the supplies' distances as a phase starts
+    start = [0] * m  # the supplies' distances as a phase starts: 0 is below every distance
     into: list[dict[int, int]] = [{} for _ in range(n)]  # into[j][i]: flow from i to j
     rows: dict[int, list[tuple[int, int]]] = {}  # rows[i]: row i as (cost, node), cheapest first
-    # Each column's reduced cost from its best source, and the largest demand
-    # potential: a lift moves both, a re-sweep its columns' reach.
-    reach, top = low[:], 0
+    reach, top = low[:], 0  # low[j] - pot[m + j], column j's distance; max(pot[m:])
 
     while live:
         # The sources are settled; each column starts at its reach.
         dist = start + reach
         pred = [-1] * m + best
-        # The bound of the row scans: ub falls as demands with a deficit
-        # improve, and top stays for the phase.
         ub = min(compress(reach, demand))
-        heap = [(r, k) for k, r in enumerate(reach, m) if r <= ub]
-        heapq.heapify(heap)
-        # A settled node is never relaxed again: its distance is already no
-        # larger than the one being offered. Entries above a node's distance
-        # are stale.
+        heap = [r << s | k for k, r in enumerate(reach, m) if r <= ub]
+        heapify(heap)
+        settled = []
         while True:
-            d, node = heapq.heappop(heap)
+            key = heappop(heap)
+            d, node = key >> s, key & mask
             if d > dist[node]:
-                continue
+                continue  # stale: the node has since been offered less
             if node < m:
+                settled.append(node)
                 base = d + pot[node]
                 limit = ub + top - base
                 if node not in rows:
-                    rows[node] = sorted(zip(cost[node], range(m, m + n)))
+                    rows[node] = sorted(zip(cost[node], range(m, m + n)), key=itemgetter(0))
                 for c, k in rows[node]:
                     if c > limit:
                         break  # this offer and every later one exceed ub
                     nd = base + c - pot[k]
-                    if nd < dist[k]:
+                    if nd <= ub and nd < dist[k]:
                         dist[k], pred[k] = nd, node
-                        heapq.heappush(heap, (nd, k))
+                        heappush(heap, nd << s | k)
                         if nd < ub and demand[k - m]:
                             ub = nd
                             limit = ub + top - base
             elif demand[node - m]:
                 break
             else:
+                settled.append(node)
                 # Arcs back along positive flow are tight: reduced cost 0.
                 for i in into[node - m]:
                     if d < dist[i]:
                         dist[i], pred[i] = d, node
-                        heapq.heappush(heap, (d, i))
-        # Lift each potential by min(distance, d): the nodes below d have
-        # settled, and the others are at least d away. At d = 0 no potential
-        # moves.
-        if d:
-            pot = [u + (du if du < d else d) for u, du in zip(pot, dist)]
-            reach, top = list(map(sub, low, pot[m:])), max(pot[m:])
+                        heappush(heap, d << s | i)
+        # Lift each potential by min(distance, d): shift rises by d - shift,
+        # and the nodes settled below d move by their distance - d. At
+        # d = shift no potential moves.
+        if d > shift:
+            fell = False
+            for u in settled:
+                du = dist[u] - d
+                if du < 0:
+                    if u >= m:
+                        fell = fell or pot[u] == top
+                        reach[u - m] -= du
+                    pot[u] += du
+            if fell:
+                top = max(pot[m:])
+            shift = d
 
         # Walk the path back from node to a source: it alternates demand,
         # supply, demand, ..., and each supply on it gains flow towards the
@@ -332,14 +326,15 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
         demand[node - m] -= theta
         if not supply[source]:
             live.remove(source)
-            start[source] = math.inf
+            start[source], pot[source] = math.inf, -shift
             for j in owned[source] if live else ():
                 best[j] = min(live, key=cols[j].__getitem__)
                 low[j] = cols[j][best[j]]
                 reach[j] = low[j] - pot[m + j]
                 owned[best[j]].append(j)
 
-    return {(i, j): f for j, col in enumerate(into) for i, f in col.items()}, scale, pot
+    plan = {(i, j): f for j, col in enumerate(into) for i, f in col.items()}
+    return plan, scale, [u + shift for u in pot]
 
 
 def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int,
@@ -370,13 +365,18 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int
     dual = (sum(w * f[x] for x, w in zip(p.support, problem.a))
             - sum(w * f[y] for y, w in zip(q.support, problem.b)))
     gap = abs(primal * problem.den - dual * plan_den)
-    matrix = np.zeros((len(p.support), len(q.support)))
-    for (i, j), k in plan.items():
-        matrix[i, j] = k / plan_den
+    # The coupling's nonzero masses at their flat positions, in order; a mass
+    # that rounds to 0.0 is dropped, as the public constructor drops it.
+    n, cells = len(q.support), sorted(plan.items())
+    masses = [k / plan_den for _, k in cells]
+    index = np.array([i * n + j for ((i, j), _), w in zip(cells, masses) if w],
+                     dtype=np.min_scalar_type(m * n))
+    values = np.array([f[z] / problem.unit for z in points])
+    values.setflags(write=False)
     return TransportResult(cost=primal / (plan_den * problem.unit),
-                           coupling=Coupling(p, q, matrix),
-                           dual=DualPotential(points,
-                                              np.array([f[z] / problem.unit for z in points])),
+                           coupling=_unguarded(Coupling, p=p, q=q, shape=(m, n), _index=index,
+                                               _mass=np.array([w for w in masses if w])),
+                           dual=_unguarded(DualPotential, points=points, values=values),
                            gap=gap / (plan_den * problem.den * problem.unit), solver=solver)
 
 

@@ -1,7 +1,8 @@
 """The package's modules import each other in layers: every import sits at
 module level, the imports between the package's modules form no cycle, no
-module or test imports a name it does not use, and the private names that
-cross a module boundary are the shared ones below."""
+module or test imports a name it does not use, the private names that
+cross a module boundary are the shared ones below, and only transport
+builds its results past the checks of their public constructors."""
 
 import ast
 import graphlib
@@ -102,3 +103,16 @@ def test_every_imported_name_is_used():
     paths = [*(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
              *sorted(TESTS.glob("*.py"))]
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def test_only_transport_builds_results_past_their_guards():
+    # transport._unguarded makes a Coupling or DualPotential from arrays that
+    # transport built itself, without the checks of the public constructors;
+    # cli and fileio, which read callers' files, and every other module and
+    # test go through those checks.
+    naming = {path.name for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Name) and node.id == "_unguarded"
+              or isinstance(node, ast.Attribute) and node.attr == "_unguarded"
+              or isinstance(node, ast.alias) and node.name == "_unguarded"}
+    assert naming == {"transport.py"}

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, sub
@@ -102,6 +103,19 @@ def test_dual_value_requires_support_coverage(line3, half_half):
     q = dirac(line3, 2)
     with pytest.raises(ValidationError):
         w1_dual_value(half_half, q, f)
+
+
+@pytest.mark.parametrize("points", [(0, 0, 1), (1, 0, 1), (0, 1, 1.0), (0, 1, 2.5),
+                                    (0, 1, True), (0, 1, "2"), (0, 1, None)])
+def test_dual_potential_needs_distinct_integer_points(points):
+    # A repeated point holds two values: value_at would read the first and
+    # w1_dual_value the last.
+    with pytest.raises(ValidationError, match="repeated point|not an integer") as info:
+        DualPotential(points, [5.0, 0.0, 1.0])
+    assert info.value.code == "invariant.dual"
+    f = DualPotential(np.array([2, 0, 1]), [5.0, 0.0, 1.0])
+    assert f.points == (2, 0, 1) and {type(z) for z in f.points} == {int}
+    assert f.value_at(2) == 5.0
 
 
 @pytest.mark.parametrize("values", [(0.0, 1.0), (0.0, 1.0, float("nan")),
@@ -865,18 +879,86 @@ def test_results_keep_their_bits_beyond_the_pins():
     assert _result_digest(_oracle_instances()) == "78582783e4ee47fc"
 
 
-def test_benchmark_dist_pools_keep_their_bits(monkeypatch):
-    # Every result of the perfbench dist pools of seeds 3, 5 and 7, hashed as
-    # in ROADMAP "Open items". The engine works in integers, so this digest
-    # holds on any BLAS, unlike the law digests. perfbench is read, never
-    # written: no bytecode is cached there.
+def _benchmark_dist_results(monkeypatch, seeds):
+    """(p, q, result) of every op of the perfbench dist pools of ``seeds``.
+    perfbench is read, never written: no bytecode is cached there."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     workloads = importlib.import_module("workloads")
+    return [op.run() for seed in seeds for op in workloads.Dist(seed).ops]
+
+
+def test_benchmark_dist_pools_keep_their_bits(monkeypatch):
+    # Every result of the perfbench dist pools of seeds 3, 5 and 7, hashed as
+    # in ROADMAP "Open items". The engine works in integers, so this digest
+    # holds on any BLAS, unlike the law digests.
     digest = hashlib.sha256()
-    for seed in (3, 5, 7):
-        for op in workloads.Dist(seed).ops:
-            p, q, r = op.run()
-            digest.update(pickle.dumps((r.cost, r.gap, r.solver, r.dual.points,
-                                        r.dual.values.tobytes(), r.coupling.matrix.tobytes())))
+    for p, q, r in _benchmark_dist_results(monkeypatch, (3, 5, 7)):
+        digest.update(pickle.dumps((r.cost, r.gap, r.solver, r.dual.points,
+                                    r.dual.values.tobytes(), r.coupling.matrix.tobytes())))
     assert digest.hexdigest()[:12] == "c330bf18c958"
+
+
+def _array_bits(array: np.ndarray):
+    return array.dtype, array.shape, array.tobytes(), array.flags.writeable
+
+
+def test_results_equal_what_the_public_constructors_build(monkeypatch):
+    # transport builds its couplings and potentials past the guards of the
+    # public constructors; every stored field must be what those build from
+    # the same numbers, down to the dtype of the flat positions, which the
+    # digests above, hashing coupling.matrix, would not see.
+    results = [(p, q, wasserstein1(p, q, solver))
+               for p, q in _pinned_instances() for solver in ("auto", "flow")]
+    results += _benchmark_dist_results(monkeypatch, (3,))
+    assert len(results) == 96 + 84
+    for p, q, result in results:
+        coupling, dual = result.coupling, result.dual
+        public = Coupling(p, q, coupling.matrix)
+        assert coupling.shape == public.shape == (len(p.support), len(q.support))
+        assert _array_bits(coupling._index) == _array_bits(public._index)
+        assert _array_bits(coupling._mass) == _array_bits(public._mass)
+        again = DualPotential(dual.points, dual.values.tolist())
+        assert dual.points == again.points
+        assert _array_bits(dual.values) == _array_bits(again.values)
+        assert not dual.values.flags.writeable
+
+
+def _key_width_instances():
+    """Instances with m + n = 2**k - 1, 2**k and 2**k + 1 for k = 3, 4 and 5,
+    where the node field of the engine's heap keys widens by a bit: on the
+    24-point line whose cost table is full of ties, and on a 40-point line
+    whose scaled costs need more than 63 bits, exact and float weights."""
+    tied = np.arange(24, dtype=float)
+    wide = np.array([k * 2.0**-450 for k in range(20)] + [k * 2.0**400 for k in range(1, 21)])
+    trial = 0
+    for line in (tied, wide):
+        space, size = FiniteMetricSpace(np.abs(np.subtract.outer(line, line))), len(line)
+        for total in (7, 8, 9, 15, 16, 17, 31, 32, 33):
+            for m in sorted({max(1, total - size), total // 2, min(size, total - 1)}):
+                rng, trial = rng_from(37, trial), trial + 1
+
+                def measure(k, first):
+                    # first, 0 or the last point, spans the wide line's costs
+                    rest = [z for z in range(size) if z != first]
+                    support = [first, *rng.choice(rest, size=k - 1, replace=False).tolist()]
+                    if trial % 2:
+                        w = rng.random(k)
+                        return DiscreteMeasure(space, support, (w / w.sum()).tolist())
+                    counts = (rng.multinomial(997 - k, [1 / k] * k) + 1).tolist()
+                    return DiscreteMeasure.from_rational(space, support, counts, 997)
+
+                yield measure(m, 0), measure(total - m, size - 1)
+
+
+def test_engine_matches_its_reference_at_the_key_width_boundaries():
+    # 27 instances on each line; every one on the wide line has a cost that
+    # scales past 2**63.
+    widths, wide = Counter(), 0
+    for p, q in _key_width_instances():
+        plan, v = _fraction_plan(p, q)
+        assert (sorted(plan), v) == _reference_plan(p, q)
+        widths[(len(p.support) + len(q.support)).bit_length()] += 1
+        wide += max(map(max, _problem(p, q).cost)) >= 2**63
+    assert widths == {3: 6, 4: 18, 5: 18, 6: 12}
+    assert wide == 27
