@@ -198,6 +198,7 @@ class DiscreteMeasure:
         return self.den
 
     def weight_of(self, index: int) -> float:
+        index = _integer(index, "point", "invariant.measure", 0, self.space.n - 1)
         try:
             return float(self.weights[self.support.index(index)])
         except ValueError:
@@ -206,6 +207,7 @@ class DiscreteMeasure:
     def fraction_of(self, index: int) -> Fraction:
         if self.den is None:
             raise ValidationError("invariant.measure", "measure has no exact weights")
+        index = _integer(index, "point", "invariant.measure", 0, self.space.n - 1)
         try:
             return Fraction(self.nums[self.support.index(index)], self.den)
         except ValueError:

@@ -31,12 +31,16 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
           trial: Callable[[np.random.Generator], Sequence[float]]) -> dict[str, float]:
     """Worst value of each named discrepancy over ``trials`` calls of
-    ``trial(rng)``, which returns one value per name, in order."""
+    ``trial(rng)``, which returns one value per name, in order. A NaN is
+    worse than any number and stays the worst, so no tolerance passes it."""
     trials = _integer(trials, "trials", "invariant.weights", 0, cap=MAX_TRIALS)
     worst = dict.fromkeys(names, 0.0)
     for _ in range(trials):
         for name, value in zip(names, trial(rng)):
-            worst[name] = max(worst[name], value)
+            # <= and == are false for NaN: a NaN value gets in, and a NaN
+            # worst value (the one float unequal to itself) stays.
+            if not value <= worst[name] and worst[name] == worst[name]:
+                worst[name] = value
     return worst
 
 

@@ -107,6 +107,7 @@ class DualPotential:
         object.__setattr__(self, "values", values)
 
     def value_at(self, index: int) -> float:
+        index = _integer(index, "potential point", "invariant.dual")
         if index not in self.points:
             raise ValidationError("invariant.dual", f"potential undefined at {index!r}")
         return float(self.values[self.points.index(index)])

@@ -369,6 +369,55 @@ def test_solver_reports_keep_their_bytes(fixtures, cli):
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (command, files)
 
 
+# sha256 of the stdout of the other reports that go through no BLAS call, run
+# from the fixtures directory: power-dist, approx in each mode and sample.
+_STUDY = "approx --space space.json --p p.json --mode study --sizes 4,8 --trials 6 --seed 2"
+_SAMPLE = "sample --space space.json --p p.json --size 10 --seed 4"
+_OTHER_REPORTS = (
+    ("power-dist --space space.json --a a.json --b b.json --kind tuple",
+     "796d281ba1feef18d7a2b32ce2f6c7c2aded341b2dd544c7065dcc98c18148c6"),
+    ("power-dist --space space.json --a a.json --b b.json --kind multiset",
+     "204cd389e1ec28bd3766f61402f1bc99bd4a04165c063247f5de2b3fa473a47d"),
+    ("approx --space space.json --p float_p.json --mode rationalize --epsilon 0.05",
+     "efe53e9c8192abb754b0553a78552ab2a2b56768fad8f12581831fd36adb58eb"),
+    ("approx --space space.json --p q.json --mode truncate --center 2 --radius 0.5",
+     "ab902bcfc6ad6c4dc1c4c171a747499a1fa9634a990c7e433dacf414515d0e0e"),
+    (_STUDY, "1e7506f22b4e86cfcefaf764c21166d221178fea95222dc393c8295b5491c0f8"),
+    (f"{_STUDY} --out csv", "8d98314b0da0ff461f48ca523556d3b798119683d070b353701d605ac5cfeda6"),
+    (_SAMPLE, "40fa0e99a617b84f9f19232c4d7123d2896d197a951ca1af3c2bc8924a5b2ae1"),
+    (f"{_SAMPLE} --out csv", "605433ac942532c38036a14b78cbfdf31d742fd7d4524a8ba5962c0a2b1ab92d"),
+)
+# The stderr of refusals, whose messages name the files by the paths given.
+_REFUSALS = (
+    ("approx --space space.json --p p.json --mode rationalize",
+     '{"error":{"code":"cli.arguments","message":"--epsilon is required for rationalize"}}\n'),
+    ("approx --space space.json --p p.json --mode truncate --center 0",
+     '{"error":{"code":"cli.arguments",'
+     '"message":"--center and --radius are required for truncate"}}\n'),
+    ("dist --space space.json --p nowhere.json --q q.json",
+     '{"error":{"code":"io.not_found","message":"cannot read nowhere.json: '
+     "[Errno 2] No such file or directory: 'nowhere.json'\"}}\n"),
+    ("dist --space badspace.json --p p.json --q q.json",
+     '{"error":{"code":"invariant.space",'
+     '"message":"badspace.json: triangle violated at (0, 1, 2) by 7.0"}}\n'),
+    ("power-dist --space space.json --a half.json --b b.json",
+     '{"error":{"code":"parse.indices","message":"half.json: TypeError: 1.5 is not an integer"}}\n'),
+)
+
+
+def test_other_reports_and_refusals_keep_their_bytes(fixtures, cli, monkeypatch):
+    (fixtures / "badspace.json").write_text(json.dumps(
+        {"kind": "matrix", "dist": [[0, 1, 9], [1, 0, 1], [9, 1, 0]]}))
+    (fixtures / "half.json").write_text("[0, 1.5]")
+    monkeypatch.chdir(fixtures)
+    for command, digest in _OTHER_REPORTS:
+        proc = cli(*command.split())
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, command
+    for command, stderr in _REFUSALS:
+        assert cli(*command.split()) == (1, "", stderr), command
+
+
 def test_power_dist_refuses_multisets_above_the_assignment_cap(fixtures, cli):
     big = fixtures / "big.json"
     big.write_text(json.dumps([i % 3 for i in range(MAX_ASSIGNMENT_SIZE + 1)]))

@@ -5,12 +5,13 @@ function it was passed to, and a value above a budget with
 invariant.size_cap."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kantorovich import (ConvexAlgebra, DiscreteMeasure, FiniteMetricSpace, FinUnifMap,
-                         MultiSet, PointTuple, ValidationError, check_algebra_laws,
+from kantorovich import (ConvexAlgebra, DiscreteMeasure, DualPotential, FiniteMetricSpace,
+                         FinUnifMap, MultiSet, PointTuple, ValidationError, check_algebra_laws,
                          check_short, convergence_study, convex_axioms, dirac, first_moment,
                          mixture, multiset_from_measure, product_index, pushforward,
                          repeat_embedding, run_law_suite, sample_empirical, truncate_to_ball,
@@ -23,6 +24,7 @@ from kantorovich.tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 LINE = FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 HALF = DiscreteMeasure(LINE, [0, 2], [1, 1], 2)
+POTENTIAL = DualPotential((0, 1), [0.0, 1.0])
 ALGEBRA = ConvexAlgebra(2)
 RNG = rng_from(0)  # the samplers refuse a bad count before they draw from it
 
@@ -59,6 +61,18 @@ _BAD = {
                          "invariant.size_cap"),
     "truncation center": (lambda: truncate_to_ball(HALF, 1.5, 1.0), "invariant.measure"),
     "moment point": (lambda: first_moment(HALF, 1.5), "invariant.measure"),
+    "weight point 1.0": (lambda: HALF.weight_of(1.0), "invariant.measure"),
+    "weight point True": (lambda: HALF.weight_of(True), "invariant.measure"),
+    "weight point text": (lambda: HALF.weight_of("1"), "invariant.measure"),
+    "weight point 2.5": (lambda: HALF.weight_of(2.5), "invariant.measure"),
+    "weight point outside space": (lambda: HALF.weight_of(3), "invariant.measure"),
+    "fraction point 1.0": (lambda: HALF.fraction_of(1.0), "invariant.measure"),
+    "fraction point True": (lambda: HALF.fraction_of(True), "invariant.measure"),
+    "fraction point text": (lambda: HALF.fraction_of("1"), "invariant.measure"),
+    "fraction point outside space": (lambda: HALF.fraction_of(-1), "invariant.measure"),
+    "potential point 1.0": (lambda: POTENTIAL.value_at(1.0), "invariant.dual"),
+    "potential point True": (lambda: POTENTIAL.value_at(True), "invariant.dual"),
+    "potential point text": (lambda: POTENTIAL.value_at("1"), "invariant.dual"),
     "suite trials": (lambda: run_law_suite(trials=2.5), "invariant.weights"),
     "suite trials below one": (lambda: run_law_suite(trials=-5), "invariant.weights"),
     "suite trials cap": (lambda: run_law_suite(trials=MAX_TRIALS + 1), "invariant.size_cap"),
@@ -138,3 +152,16 @@ def test_numpy_integers_give_the_python_int_results():
     study = convergence_study(p, [i(4)], i(2))
     assert study == convergence_study(p, [4], 2)
     json.dumps(study)
+
+
+def test_lookups_read_integer_points_only():
+    # A point of the space off the support weighs nothing; an integer that is
+    # not a point of the potential leaves it undefined.
+    i = np.int64
+    assert (HALF.weight_of(0), HALF.weight_of(i(2)), HALF.weight_of(1)) == (0.5, 0.5, 0.0)
+    assert (HALF.fraction_of(i(0)), HALF.fraction_of(1)) == (Fraction(1, 2), Fraction(0))
+    assert type(HALF.fraction_of(1)) is Fraction
+    assert (POTENTIAL.value_at(0), POTENTIAL.value_at(i(1))) == (0.0, 1.0)
+    for point in (2, -1):
+        with pytest.raises(ValidationError, match="potential undefined"):
+            POTENTIAL.value_at(point)
