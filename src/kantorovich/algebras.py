@@ -17,11 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _compose, _exact_or_float, _fractions, _weights, dirac
+from .measures import (DiscreteMeasure, _compose, _exact_or_float, _fractions, _measure,
+                       _weights, dirac)
 from .monad import NestedMeasure, expectation
 from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
                        simplex_fractions, sweep)
-from .spaces import NORMS, EuclideanSpace, _integer, _norm, _real, _real_array
+from .spaces import NORMS, _integer, _norm, _real, _real_array, _roster, _worst
 from .tolerances import MAX_ALGEBRA_DIM
 
 
@@ -107,6 +108,11 @@ def mean_point(points: Sequence[np.ndarray]) -> np.ndarray:
     points = _real_array(points, "points", "invariant.algebra")
     if points.ndim != 2 or len(points) == 0:
         raise ValidationError("invariant.algebra", "need a non-empty list of points")
+    return _mean(points)
+
+
+def _mean(points: np.ndarray) -> np.ndarray:
+    """The mean of the rows of a non-empty float array."""
     return np.add.reduce(points, axis=0) / len(points)
 
 
@@ -173,8 +179,8 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
                 lhs = comb(lam, x, comb(mu, y, z))
                 rhs = comb(lam * mu, comb(nu, x, y), z)
             associativity = algebra._distance(lhs, rhs)
-        return (max(algebra._distance(comb(0.0, x, y), at_zero),
-                    algebra._distance(comb(1.0, x, y), at_one)),
+        return (_worst(algebra._distance(comb(0.0, x, y), at_zero),
+                       algebra._distance(comb(1.0, x, y), at_one)),
                 algebra._distance(comb(lam, x, x), x),
                 algebra._distance(comb(lam, x, y), comb(1.0 - lam, y, x)),
                 associativity)
@@ -197,7 +203,7 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
         k = int(rng.integers(2, 7))
         points = np.array(distinct_points(
             k, lambda: tuple(np.round(rng.uniform(-8.0, 8.0, size=algebra.dim), 3).tolist())))
-        space = EuclideanSpace(points, algebra.norm).to_metric()
+        space = _roster(points, algebra.norm)
 
         i = int(rng.integers(0, k))
         unit = algebra._distance(barycenter(algebra, dirac(space, i)), points[i])
@@ -215,18 +221,18 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
         reps = int(rng.integers(1, 4))
         sample = points[[int(rng.integers(0, k)) for _ in range(m_size)]]
         repeated = np.concatenate([sample] * reps, axis=0)
-        power_triangle = algebra._distance(mean_point(sample), mean_point(repeated))
+        power_triangle = algebra._distance(_mean(sample), _mean(repeated))
 
         blocks = [[int(rng.integers(0, k)) for _ in range(m_size)]
                   for _ in range(int(rng.integers(1, 4)))]
-        block_means = [mean_point(points[b]) for b in blocks]
-        power_square = algebra._distance(mean_point(block_means),
-                                         mean_point(points[np.concatenate(blocks)]))
+        block_means = np.array([_mean(points[b]) for b in blocks])
+        power_square = algebra._distance(_mean(block_means),
+                                         _mean(points[np.concatenate(blocks)]))
 
         matrix, offset = _random_short_affine(rng, algebra)
         p = random_measure(rng, space, space.n)
-        image_space = EuclideanSpace(points @ matrix.T + offset, algebra.norm).to_metric()
-        image_measure = DiscreteMeasure(image_space, p.support, p.nums, p.den)
+        image_space = _roster(points @ matrix.T + offset, algebra.norm)
+        image_measure = _measure(image_space, p.support, p.nums, p.den)
         affine = algebra._distance(matrix @ barycenter(algebra, p) + offset,
                                    barycenter(algebra, image_measure))
         return unit, multiplication, power_triangle, power_square, affine

@@ -10,8 +10,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ValidationError
-from .power import MultiSet, PointTuple, multiset_distance, quotient, tuple_distance
-from .spaces import FiniteMetricSpace, same_space
+from .power import (MultiSet, PointTuple, _multiset, multiset_distance, quotient,
+                    tuple_distance)
+from .spaces import FiniteMetricSpace, _unguarded, _worst, same_space
 
 
 class NestedTuple:
@@ -81,18 +82,12 @@ class NestedMultiSet:
 
 def curry_flatten(nt: NestedTuple) -> PointTuple:
     """(X^m)^n -> X^(m*n): row-major concatenation; an isometry."""
-    flat: list[int] = []
-    for row in nt.rows:
-        flat.extend(row)
-    return PointTuple(nt.space, flat)
+    return _unguarded(PointTuple, space=nt.space, entries=tuple(x for row in nt.rows for x in row))
 
 
 def flatten_multiset(nms: NestedMultiSet) -> MultiSet:
     """(X_m)_n -> X_(m*n): union of the inner multisets."""
-    flat: list[int] = []
-    for s in nms.inners:
-        flat.extend(s.entries)
-    return MultiSet(nms.space, flat)
+    return _multiset(nms.space, [x for s in nms.inners for x in s.entries])
 
 
 def quotient_rows(nt: NestedTuple) -> NestedMultiSet:
@@ -128,10 +123,8 @@ def _unit_discrepancy(sample, symmetrized: bool) -> float:
     """Embed a sample as a single row and as a column of singletons; both
     flatten back to the original sample."""
     nest, flatten, distance = _KINDS[symmetrized]
-    worst = 0.0
-    for rows in ([sample.entries], [[x] for x in sample.entries]):
-        worst = max(worst, _discrepancy(sample, flatten(nest(sample.space, rows)), distance))
-    return worst
+    return _worst(*(_discrepancy(sample, flatten(nest(sample.space, rows)), distance)
+                    for rows in ([sample.entries], [[x] for x in sample.entries])))
 
 
 def unit_discrepancy_tuple(t: PointTuple) -> float:

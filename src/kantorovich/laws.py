@@ -25,7 +25,7 @@ from .samplers import (random_euclidean_space, random_finunif,
                        random_measure, random_multiset, random_nested_multiset,
                        random_nested_tuple, random_rational_pair, random_space,
                        random_tuple, rng_from, sweep)
-from .spaces import EuclideanSpace, _integer
+from .spaces import _integer, _roster, _worst
 from .tolerances import EXACT_TOL, TAU_SOLVER
 from .transport import w1_bruteforce, w1_flow, wasserstein1
 
@@ -111,7 +111,7 @@ def _short_map_instance(rng):
     sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
     if sigma > 0:
         matrix /= (sigma * 1.0000001)
-    return space, EuclideanSpace(space.coords @ matrix.T, "l2").to_metric()
+    return space, _roster(space.coords @ matrix.T, "l2")
 
 
 def _pushed_w1(p, q, target) -> float:
@@ -124,7 +124,7 @@ def _pushforward_short(rng) -> float:
     space, image_space = _short_map_instance(rng)
     p = random_measure(rng, space)
     q = random_measure(rng, space)
-    return max(0.0, _pushed_w1(p, q, image_space) - w1_flow(p, q).cost)
+    return _worst(0.0, _pushed_w1(p, q, image_space) - w1_flow(p, q).cost)
 
 
 def _embedding_invariance(rng) -> float:
@@ -132,7 +132,7 @@ def _embedding_invariance(rng) -> float:
     small = int(rng.integers(2, 6))
     extra = int(rng.integers(1, 4))
     big_space = random_euclidean_space(rng, small + extra, dim, "l2")
-    small_space = EuclideanSpace(big_space.coords[:small], "l2").to_metric()
+    small_space = _roster(big_space.coords[:small], "l2")
     p = random_measure(rng, small_space)
     q = random_measure(rng, small_space)
     return abs(w1_flow(p, q).cost - _pushed_w1(p, q, big_space))
@@ -162,7 +162,7 @@ def _w1_triangle(rng) -> float:
     p = random_measure(rng, space)
     q = random_measure(rng, space)
     r = random_measure(rng, space)
-    return max(0.0, w1_flow(p, r).cost - w1_flow(p, q).cost - w1_flow(q, r).cost)
+    return _worst(0.0, w1_flow(p, r).cost - w1_flow(p, q).cost - w1_flow(q, r).cost)
 
 
 def _assignment_vs_lp(rng) -> float:
@@ -173,7 +173,7 @@ def _assignment_vs_lp(rng) -> float:
     lp = w1_flow(empirical_sym(a), empirical_sym(b)).cost
     lsa = multiset_distance(a, b)
     brute = multiset_distance_bruteforce(a, b)
-    return max(abs(lp - lsa), abs(lsa - brute))
+    return _worst(abs(lp - lsa), abs(lsa - brute))
 
 
 def _repeat_isometry(rng) -> float:
@@ -210,8 +210,8 @@ def _quotient_naturality(rng) -> float:
 def _graded_units(rng) -> float:
     space = random_space(rng)
     n = int(rng.integers(1, 5))
-    return max(unit_discrepancy_tuple(random_tuple(rng, space, n)),
-               unit_discrepancy_multiset(random_multiset(rng, space, n)))
+    return _worst(unit_discrepancy_tuple(random_tuple(rng, space, n)),
+                  unit_discrepancy_multiset(random_multiset(rng, space, n)))
 
 
 def _associativity(rng, symmetrized: bool) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import FiniteMetricSpace, _integer, _real, same_space
+from .spaces import FiniteMetricSpace, _integer, _real, _unguarded, same_space
 from .tolerances import TAU_WEIGHT
 
 # The float weights of a unit mass, shared: read-only, like every weight array.
@@ -28,22 +28,11 @@ _UNIT.setflags(write=False)
 
 def _weights(values: Sequence, code: str, label: str, exact: bool = True,
              keys: Sequence | None = None, order=None, den: int | None = None):
-    """The one exact-or-float weight check behind every weighted object.
-
-    The weights stay exact when every entry is an int or a Fraction, or
-    when ``den`` is given and the entries are integer numerators over it,
-    and ``exact`` is set; a caller clears ``exact`` when one of its inputs
-    has already lost its exact weights. Entries must be finite and
-    nonnegative and sum to 1 within TAU_WEIGHT, else ValidationError(code).
-    Given ``keys``, the weights of equal keys are merged, zero weights are
-    dropped and the keys are sorted by ``order``.
-
-    Returns (keys, weights, nums, den): the surviving keys as a tuple (None
-    without ``keys``), the weights as a read-only float array, and the exact
-    weights as a tuple of integer numerators over one reduced denominator,
-    or None and None on the float path. Each float weight is num / den,
-    correctly rounded.
-    """
+    """The one exact-or-float weight check behind every weighted object. The weights
+    stay exact when every entry is an int or a Fraction, or an integer numerator
+    over a given ``den``, unless a caller whose inputs have lost their exact weights
+    clears ``exact``. Entries must be finite and nonnegative, else
+    ValidationError(code); they are returned as _canonical returns them."""
     if den is None:
         exact = exact and all(type(w) is int or isinstance(w, Fraction) for w in values)
         if exact:
@@ -55,17 +44,25 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
         values = [_integer(num, "numerator", code) for num in values]
         if not exact:
             values = [Fraction(num, den) for num in values]  # num / den could overflow
-    if exact and len(values) == 1 and values[0] == den:
-        # A unit mass, the commonest weight vector of all, is canonical as given.
-        return (None if keys is None else (keys[0],)), _UNIT, (1,), 1
     if not exact:
         values = [_real(w, f"{label} {i}", code, 0.0) for i, w in enumerate(values)]
-        add = math.fsum
     elif min(values, default=0) < 0:
         i, w = next((i, w) for i, w in enumerate(values) if w < 0)
         raise ValidationError(code, f"{label} {i} is negative: {Fraction(w, den)!r}")
-    else:
-        add = sum
+    return _canonical(values, den if exact else None, keys, order, code, label)
+
+
+def _canonical(values: list, den: int | None, keys: Sequence | None = None, order=None,
+               code: str = "invariant.measure", label: str = "weight"):
+    """Nonnegative weights, integer numerators over den or floats if den is None,
+    that sum to 1 within TAU_WEIGHT (else ValidationError(code)), in canonical
+    form: (keys, weights, nums, den), with ``keys`` merged, without zero weights
+    and sorted by ``order`` (None without keys), read-only float weights, and the
+    exact ones over a reduced den (None, None for floats), each float num / den."""
+    add = math.fsum if den is None else sum
+    if den is not None and len(values) == 1 and values[0] == den:
+        # A unit mass, the commonest weight vector of all, is canonical as given.
+        return (None if keys is None else (keys[0],)), _UNIT, (1,), 1
     if keys is not None:
         merged = dict(zip(keys, values))
         if len(merged) < len(values):
@@ -74,27 +71,31 @@ def _weights(values: Sequence, code: str, label: str, exact: bool = True,
                 groups.setdefault(key, []).append(w)
             merged = {key: ws[0] if len(ws) == 1 else add(ws) for key, ws in groups.items()}
         keys = sorted(merged, key=order)
-        values = [merged[key] for key in keys]
-        if 0 in values:
+        if 0 in merged.values():
             keys = [key for key in keys if merged[key] != 0]
-            values = [merged[key] for key in keys]
-        keys = tuple(keys)
+        keys, values = tuple(keys), [merged[key] for key in keys]
     total = add(values)
-    if total != (den if exact else 1):
+    if total != (1 if den is None else den):
         # An exact sum stays exact (its float can overflow).
-        total = Fraction(total, den) if exact else total
+        total = total if den is None else Fraction(total, den)
         if abs(total - 1) > TAU_WEIGHT:
             raise ValidationError(code, f"{label}s sum to {total}, not 1")
-    if exact:
+    if den is None:
+        weights, nums = np.array(values), None
+    else:
         g = math.gcd(den, *values)
-        if g > 1:
-            den //= g
-            values = [w // g for w in values]
-        nums = tuple(values)
-        values = [w / den for w in values]
-    weights = np.array(values)
+        den, nums = den // g, tuple(values) if g == 1 else tuple([w // g for w in values])
+        weights = np.array([w / den for w in nums])
     weights.setflags(write=False)
-    return (keys, weights, nums, den) if exact else (keys, weights, None, None)
+    return keys, weights, nums, den
+
+
+def _measure(space: FiniteMetricSpace, support: Sequence[int], weights: Sequence,
+             den: int | None = None) -> DiscreteMeasure:
+    """A DiscreteMeasure from a support and weights the package made, past the public checks."""
+    support, weights, nums, den = _canonical(weights, den, support)
+    return _unguarded(DiscreteMeasure, space=space, support=support, weights=weights,
+                      nums=nums, den=den)
 
 
 def _exact_or_float(nums, den, floats) -> tuple:
@@ -226,7 +227,8 @@ class DiscreteMeasure:
 
 def dirac(space: FiniteMetricSpace, x: int) -> DiscreteMeasure:
     """Point mass at roster index x."""
-    return DiscreteMeasure(space, [x], [1], 1)
+    x = _integer(x, "support index", "invariant.measure", 0, space.n - 1)
+    return _measure(space, (x,), (1,), 1)
 
 
 def pushforward(f: Sequence[int] | Callable[[int], int], p: DiscreteMeasure,
@@ -259,7 +261,7 @@ def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure],
             raise ValidationError("invariant.measure", "mixture components live on different spaces")
     weights, den = _compose(coeffs, den, [(m.nums, m.den, m.weights) for m in measures],
                             "invariant.weights", "mixture coefficient")
-    return DiscreteMeasure(space, [i for m in measures for i in m.support], weights, den)
+    return _measure(space, [i for m in measures for i in m.support], weights, den)
 
 
 def first_moment(p: DiscreteMeasure, x0: int) -> float:

@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
 from .measures import (DiscreteMeasure, _comparable, _compose, _exact_or_float, _fractions,
-                       _weights, dirac, mixture, weight_discrepancy)
+                       _measure, _weights, dirac, mixture, weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance, sample_size
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
                        sweep)
-from .spaces import FiniteMetricSpace, same_space
+from .spaces import FiniteMetricSpace, _unguarded, _worst, same_space
 from .transport import w1_flow
 
 
@@ -77,7 +77,7 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
     for ma, mb, na, nb in zip(a.inner, b.inner, wa, wb):
         if ma.support != mb.support:
             return math.inf
-        worst = max(worst, weight_discrepancy(ma, mb), abs(na - nb) / scale)
+        worst = _worst(worst, weight_discrepancy(ma, mb), abs(na - nb) / scale)
     return worst
 
 
@@ -88,12 +88,12 @@ def nested_weight_discrepancy(a: NestedMeasure, b: NestedMeasure) -> float:
 def empirical(t: PointTuple) -> DiscreteMeasure:
     """Uniform measure of an ordered sample; weights are exact k/n."""
     counts = Counter(t.entries)
-    return DiscreteMeasure.from_rational(t.space, list(counts), list(counts.values()), len(t))
+    return _measure(t.space, list(counts), list(counts.values()), len(t))
 
 
 def empirical_sym(ms: MultiSet) -> DiscreteMeasure:
     """Uniform measure of a multiset; the order-free empirical map."""
-    return empirical(PointTuple(ms.space, ms.entries))
+    return empirical(_unguarded(PointTuple, space=ms.space, entries=ms.entries))
 
 
 def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiSet:

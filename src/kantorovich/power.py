@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
-from .spaces import FiniteMetricSpace, _integer, same_space
+from .spaces import FiniteMetricSpace, _integer, _unguarded, same_space
 from .tolerances import MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SAMPLE_SIZE
 
 
@@ -71,6 +71,11 @@ class MultiSet:
         return f"MultiSet({list(self.entries)})"
 
 
+def _multiset(space: FiniteMetricSpace, entries: Sequence[int]) -> MultiSet:
+    """A MultiSet of points of the space that the package made, past the public checks."""
+    return _unguarded(MultiSet, space=space, entries=tuple(sorted(entries)))
+
+
 def tuple_distance(a: PointTuple, b: PointTuple) -> float:
     """(1/n) sum_i d(a_i, b_i) for equal-length tuples on one space."""
     _require_compatible(a, b)
@@ -116,14 +121,14 @@ def _require_compatible(a, b) -> None:
 
 def quotient(t: PointTuple) -> MultiSet:
     """Forget the ordering of a tuple."""
-    return MultiSet(t.space, t.entries)
+    return _multiset(t.space, t.entries)
 
 
 def repeat_embedding(ms: MultiSet, n: int) -> MultiSet:
     """n-fold repetition of every entry, n > 0; an isometric embedding of multisets."""
     n = _integer(n, "repetition count", "invariant.tuple")
     sample_size(len(ms) * n)
-    return MultiSet(ms.space, ms.entries * n)
+    return _multiset(ms.space, ms.entries * n)
 
 
 class FinUnifMap:
@@ -162,4 +167,5 @@ def precompose(phi: FinUnifMap, t: PointTuple) -> PointTuple:
     if phi.codomain_size != len(t):
         raise ValidationError("invariant.finunif",
                               f"map codomain {phi.codomain_size} != tuple length {len(t)}")
-    return PointTuple(t.space, [t.entries[v] for v in phi.assignment])
+    return _unguarded(PointTuple, space=t.space,
+                      entries=tuple(t.entries[v] for v in phi.assignment))

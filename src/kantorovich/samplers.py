@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graded import NestedMultiSet, NestedTuple
-from .measures import DiscreteMeasure
-from .power import FinUnifMap, MultiSet, PointTuple
-from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer
+from .measures import DiscreteMeasure, _measure
+from .power import FinUnifMap, MultiSet, PointTuple, _multiset
+from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer, _unguarded, _worst
 from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -37,10 +37,7 @@ def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
     worst = dict.fromkeys(names, 0.0)
     for _ in range(trials):
         for name, value in zip(names, trial(rng)):
-            # <= and == are false for NaN: a NaN value gets in, and a NaN
-            # worst value (the one float unequal to itself) stays.
-            if not value <= worst[name] and worst[name] == worst[name]:
-                worst[name] = value
+            worst[name] = _worst(worst[name], value)
     return worst
 
 
@@ -60,11 +57,12 @@ def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetric
     if n == 1:
         return FiniteMetricSpace([[0.0]])
     raw = rng.integers(1, 10, size=(n, n))
-    table = np.minimum(raw, raw.T).astype(np.int64)
+    table = np.minimum(raw, raw.T).astype(float)  # small integers, exact in floats
     np.fill_diagonal(table, 0)
     for k in range(n):
         table = np.minimum(table, table[:, k:k + 1] + table[k:k + 1, :])
-    return FiniteMetricSpace(table.astype(float))
+    table.setflags(write=False)
+    return _unguarded(FiniteMetricSpace, dist=table, pseudometric_ok=False, coords=None)
 
 
 def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
@@ -115,45 +113,49 @@ def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
     support = _support(rng, space, max_support)
     if exact:
         den = int(rng.integers(1, 13))
-        return DiscreteMeasure(space, support, simplex_fractions(rng, len(support), den), den)
-    return DiscreteMeasure(space, support, simplex_floats(rng, len(support)))
+        return _measure(space, support, simplex_fractions(rng, len(support), den), den)
+    return _measure(space, support, simplex_floats(rng, len(support)))
 
 
 def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
                          max_support: int = 4, den: int = 6):
     """Two measures sharing one exact common denominator (brute-force ready)."""
+    den = _integer(den, "den", "invariant.weights", 1)
     out = []
     for _ in range(2):
         support = _support(rng, space, max_support)
-        out.append(DiscreteMeasure(space, support, simplex_fractions(rng, len(support), den), den))
+        out.append(_measure(space, support, simplex_fractions(rng, len(support), den), den))
     return out[0], out[1]
 
 
-def _entries(rng: np.random.Generator, space: FiniteMetricSpace, length: int) -> list[int]:
+def _entries(rng: np.random.Generator, space: FiniteMetricSpace, length: int) -> tuple[int, ...]:
     length = _integer(length, "tuple length", "invariant.tuple", 1)
-    return [int(rng.integers(0, space.n)) for _ in range(length)]
+    return tuple([int(rng.integers(0, space.n)) for _ in range(length)])
 
 
 def random_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                  length: int) -> PointTuple:
-    return PointTuple(space, _entries(rng, space, length))
+    return _unguarded(PointTuple, space=space, entries=_entries(rng, space, length))
 
 
 def random_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                     length: int) -> MultiSet:
-    return MultiSet(space, _entries(rng, space, length))
+    return _multiset(space, _entries(rng, space, length))
 
 
 def random_nested_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                         outer: int, inner: int) -> NestedTuple:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    return NestedTuple(space, [_entries(rng, space, inner) for _ in rows])
+    return _unguarded(NestedTuple, space=space,
+                      rows=tuple(_entries(rng, space, inner) for _ in rows))
 
 
 def random_nested_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                            outer: int, inner: int) -> NestedMultiSet:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    return NestedMultiSet(space, [_entries(rng, space, inner) for _ in rows])
+    inners = sorted(sorted(_entries(rng, space, inner)) for _ in rows)
+    return _unguarded(NestedMultiSet, space=space,
+                      inners=tuple(_multiset(space, s) for s in inners))
 
 
 def random_finunif(rng: np.random.Generator, codomain_size: int,

@@ -108,8 +108,7 @@ class EuclideanSpace:
 
     def to_metric(self) -> FiniteMetricSpace:
         """Induced distance table, with coordinates attached."""
-        table = _norm(self.points[:, None, :] - self.points[None, :, :], self.norm)
-        return FiniteMetricSpace(table, pseudometric_ok=False, coords=self.points)
+        return _roster(self.points, self.norm)
 
     def __repr__(self) -> str:
         return f"EuclideanSpace(n={self.n}, dim={self.dim}, norm={self.norm!r})"
@@ -230,6 +229,32 @@ def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray
     if finite and not (np.abs(arr) <= bound).all():  # NaN fails it too
         raise ValidationError(code, f"{what} has non-finite entries or entries above 2**500")
     return arr
+
+
+def _unguarded(cls, **fields):
+    """A ``cls`` with fields the package made in canonical form, past its public guards."""
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(made, name, value)
+    return made
+
+
+def _roster(points: np.ndarray, norm: str) -> FiniteMetricSpace:
+    """The metric space of a new float roster that the package made, past the public
+    checks; the roster becomes its coordinates and is made read-only in place."""
+    points.setflags(write=False)
+    dist = _norm(points[:, None, :] - points[None, :, :], norm)
+    dist.setflags(write=False)
+    return _unguarded(FiniteMetricSpace, dist=dist, pseudometric_ok=False, coords=points)
+
+
+def _worst(*values: float) -> float:
+    """The largest of ``values``, the first of equals; a NaN, unordered, gets in and stays."""
+    worst = values[0]
+    for value in values[1:]:
+        if not value <= worst and worst == worst:
+            worst = value
+    return worst
 
 
 def _check_table_cap(n_points: int) -> None:

@@ -43,8 +43,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .measures import DiscreteMeasure, _exact_weights
-from .power import MultiSet, multiset_distance_bruteforce
-from .spaces import _integer, _real, _real_array, same_space
+from .power import _multiset, multiset_distance_bruteforce
+from .spaces import _integer, _real, _real_array, _unguarded, same_space
 from .tolerances import (AUTO_ASSIGNMENT_SIZE, MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE,
                          MAX_SUPPORT_PAIRS, TAU_METRIC, TAU_SOLVER, TAU_WEIGHT)
 
@@ -111,15 +111,6 @@ class DualPotential:
         if index not in self.points:
             raise ValidationError("invariant.dual", f"potential undefined at {index!r}")
         return float(self.values[self.points.index(index)])
-
-
-def _unguarded(cls, **fields):
-    """A Coupling or DualPotential from arrays this module made, past the
-    guards that its public constructor runs on a caller's input."""
-    made = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(made, name, value)
-    return made
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -445,7 +436,7 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
                  cap=MAX_BRUTE_SIZE)
     left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.den)]
                    for m in (p, q))
-    return multiset_distance_bruteforce(MultiSet(p.space, left), MultiSet(q.space, right))
+    return multiset_distance_bruteforce(_multiset(p.space, left), _multiset(q.space, right))
 
 
 def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,

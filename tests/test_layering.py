@@ -1,8 +1,9 @@
 """The package's modules import each other in layers: every import sits at
 module level, the imports between the package's modules form no cycle, no
 module or test imports a name it does not use, the private names that
-cross a module boundary are the shared ones below, and only transport
-builds its results past the checks of their public constructors."""
+cross a module boundary are the shared ones below, and only the modules
+that build from numbers the library made name the private path past the
+checks of the public constructors."""
 
 import ast
 import graphlib
@@ -14,11 +15,17 @@ TESTS = Path(__file__).resolve().parent
 # integer view of weights, the Fraction view of exact weights, exact
 # comparison of two weight vectors and convex composition), the discrepancy
 # helper of ``graded``, and of ``spaces`` the table-size cap, the integer guard, the
-# real-number guard and its array companion, and the norms of coordinate differences.
+# real-number guard and its array companion, the norms of coordinate differences and
+# the largest of discrepancies that keeps a NaN; and the private path below.
 SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
                   "measures._fractions", "measures._comparable", "measures._compose",
                   "graded._discrepancy", "spaces._check_table_cap", "spaces._integer",
-                  "spaces._real", "spaces._real_array", "spaces._norm"}
+                  "spaces._real", "spaces._real_array", "spaces._norm", "spaces._worst",
+                  "spaces._unguarded", "spaces._roster", "measures._measure", "power._multiset"}
+# The private path: spaces._unguarded sets an object's fields past the checks of its
+# public constructor; spaces._roster, measures._measure and power._multiset put the
+# numbers they are given in canonical form and go through it.
+PRIVATE_PATH = {"_unguarded", "_roster", "_measure", "_multiset"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -105,14 +112,21 @@ def test_every_imported_name_is_used():
     assert [entry for path in paths for entry in _unused_imports(path)] == []
 
 
-def test_only_transport_builds_results_past_their_guards():
-    # transport._unguarded makes a Coupling or DualPotential from arrays that
-    # transport built itself, without the checks of the public constructors;
-    # cli and fileio, which read callers' files, and every other module and
-    # test go through those checks.
-    naming = {path.name for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]
-              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-              if isinstance(node, ast.Name) and node.id == "_unguarded"
-              or isinstance(node, ast.Attribute) and node.attr == "_unguarded"
-              or isinstance(node, ast.alias) and node.name == "_unguarded"}
-    assert naming == {"transport.py"}
+def test_only_the_modules_that_build_from_their_own_numbers_take_the_private_path():
+    # The private path builds a space, measure, tuple, multiset, nesting, coupling
+    # or potential from numbers that the module built itself, skipping the type,
+    # range and finiteness checks of the public constructors. cli and fileio read
+    # callers' files, and the tests stand for callers: all of them go through
+    # those checks. A new caller of the private path must be added here.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]}
+    naming = {name for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in PRIVATE_PATH
+              or isinstance(node, ast.Attribute) and node.attr in PRIVATE_PATH
+              or isinstance(node, ast.alias) and node.name in PRIVATE_PATH}
+    assert naming == {"spaces.py", "measures.py", "power.py", "graded.py", "samplers.py",
+                      "monad.py", "algebras.py", "laws.py", "transport.py"}
+    assert not naming & {"cli.py", "fileio.py", *(path.name for path in TESTS.glob("*.py"))}
+    # spaces._unguarded is the one place that makes an object past its constructor.
+    assert {name for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"} == {"spaces.py"}
