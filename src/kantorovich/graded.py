@@ -21,7 +21,7 @@ class NestedTuple:
     __slots__ = ("space", "rows")
 
     def __init__(self, space: FiniteMetricSpace, rows: Sequence[Sequence[int]]):
-        if not rows:
+        if len(rows) == 0:  # a numpy array has no truth value
             raise ValidationError("invariant.tuple", "empty nesting")
         width = len(rows[0])
         grid = []
@@ -50,15 +50,9 @@ class NestedMultiSet:
     __slots__ = ("space", "inners")
 
     def __init__(self, space: FiniteMetricSpace, inners: Sequence[Sequence[int]]):
-        if not inners:
-            raise ValidationError("invariant.tuple", "empty nesting")
-        sets = [MultiSet(space, inner) for inner in inners]
-        width = len(sets[0])
-        for s in sets:
-            if len(s) != width:
-                raise ValidationError("invariant.tuple", "ragged nesting")
+        rows = NestedTuple(space, inners).rows  # the checks of a nesting
         self.space = space
-        self.inners = tuple(sorted(sets, key=lambda s: s.entries))
+        self.inners = _nested_multiset(space, rows).inners
 
     @property
     def outer(self) -> int:
@@ -90,9 +84,20 @@ def flatten_multiset(nms: NestedMultiSet) -> MultiSet:
     return _multiset(nms.space, [x for s in nms.inners for x in s.entries])
 
 
+def _nested_tuple(space: FiniteMetricSpace, rows) -> NestedTuple:
+    """A NestedTuple of equal rows of checked entries, past the public checks."""
+    return _unguarded(NestedTuple, space=space, rows=tuple(map(tuple, rows)))
+
+
+def _nested_multiset(space: FiniteMetricSpace, inners) -> NestedMultiSet:
+    """A NestedMultiSet of equal inners of checked entries, past the public checks."""
+    sets = sorted((_multiset(space, inner) for inner in inners), key=lambda s: s.entries)
+    return _unguarded(NestedMultiSet, space=space, inners=tuple(sets))
+
+
 def quotient_rows(nt: NestedTuple) -> NestedMultiSet:
     """Forget order inside each row, then the order of the rows."""
-    return NestedMultiSet(nt.space, [row for row in nt.rows])
+    return _nested_multiset(nt.space, nt.rows)
 
 
 def nested_tuple_distance(a: NestedTuple, b: NestedTuple) -> float:
@@ -101,7 +106,8 @@ def nested_tuple_distance(a: NestedTuple, b: NestedTuple) -> float:
         raise ValidationError("invariant.tuple", "shape mismatch")
     total = 0.0
     for ra, rb in zip(a.rows, b.rows):
-        total += tuple_distance(PointTuple(a.space, ra), PointTuple(b.space, rb))
+        total += tuple_distance(_unguarded(PointTuple, space=a.space, entries=ra),
+                                _unguarded(PointTuple, space=a.space, entries=rb))
     return total / a.outer
 
 
@@ -110,8 +116,8 @@ def nested_tuple_distance(a: NestedTuple, b: NestedTuple) -> float:
 
 
 # The nesting, flattening and distance of tuples (False) and multisets (True).
-_KINDS = {False: (NestedTuple, curry_flatten, tuple_distance),
-          True: (NestedMultiSet, flatten_multiset, multiset_distance)}
+_KINDS = {False: (_nested_tuple, curry_flatten, tuple_distance),
+          True: (_nested_multiset, flatten_multiset, multiset_distance)}
 
 
 def _discrepancy(a, b, distance) -> float:
@@ -142,9 +148,12 @@ def check_assoc_square(space: FiniteMetricSpace, grid3: Sequence[Sequence[Sequen
     """Flatten a 3-deep nesting inner-first and outer-first; the results must
     coincide. ``grid3`` is an n-outer list of m-middle lists of l-inner index
     lists (rectangular)."""
+    blocks = [NestedTuple(space, block).rows for block in grid3]  # each entry checked once
+    if len({(len(block), len(block[0])) for block in blocks}) != 1:
+        raise ValidationError("invariant.tuple", "ragged nesting" if blocks else "empty nesting")
     nest, flatten, distance = _KINDS[symmetrized]
-    inner_first = flatten(nest(space, [flatten(nest(space, block)).entries for block in grid3]))
-    outer_first = flatten(nest(space, [row for block in grid3 for row in block]))
+    inner_first = flatten(nest(space, [flatten(nest(space, block)).entries for block in blocks]))
+    outer_first = flatten(nest(space, [row for block in blocks for row in block]))
     return _discrepancy(inner_first, outer_first, distance)
 
 

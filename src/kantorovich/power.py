@@ -99,12 +99,12 @@ def multiset_distance_bruteforce(a: MultiSet, b: MultiSet) -> float:
     """Permutation-scan oracle for the multiset metric; n! work, n <= MAX_BRUTE_SIZE."""
     _require_compatible(a, b)
     n = _integer(len(a), "multiset size", "invariant.tuple", cap=MAX_BRUTE_SIZE)
-    cost = a.space.dist[np.ix_(a.entries, b.entries)]
+    cost = a.space.dist[np.ix_(a.entries, b.entries)].tolist()
     best = math.inf
     for perm in itertools.permutations(range(n)):
         total = 0.0
         for i, j in enumerate(perm):
-            total += cost[i, j]
+            total += cost[i][j]
             if total >= best:
                 break
         else:

@@ -13,10 +13,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graded import NestedMultiSet, NestedTuple
+from .errors import ValidationError
+from .graded import NestedMultiSet, NestedTuple, _nested_multiset, _nested_tuple
 from .measures import DiscreteMeasure, _measure
 from .power import FinUnifMap, MultiSet, PointTuple, _multiset
-from .spaces import NORMS, EuclideanSpace, FiniteMetricSpace, _integer, _unguarded, _worst
+from .spaces import NORMS, FiniteMetricSpace, _integer, _roster, _unguarded, _worst
 from .tolerances import MAX_RANDOM_POINTS, MAX_TRIALS
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -72,8 +73,10 @@ def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
     n_points = _integer(n_points, "n_points", "invariant.space", 1, cap=MAX_RANDOM_POINTS ** dim)
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
+    elif norm not in NORMS:
+        raise ValidationError("invariant.space", f"unknown norm {norm!r}")
     points = distinct_points(n_points, lambda: tuple(int(rng.integers(-8, 9)) for _ in range(dim)))
-    return EuclideanSpace(np.array(points, dtype=float), norm).to_metric()
+    return _roster(np.array(points, dtype=float), norm)
 
 
 def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricSpace:
@@ -146,16 +149,13 @@ def random_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
 def random_nested_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                         outer: int, inner: int) -> NestedTuple:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    return _unguarded(NestedTuple, space=space,
-                      rows=tuple(_entries(rng, space, inner) for _ in rows))
+    return _nested_tuple(space, [_entries(rng, space, inner) for _ in rows])
 
 
 def random_nested_multiset(rng: np.random.Generator, space: FiniteMetricSpace,
                            outer: int, inner: int) -> NestedMultiSet:
     rows = range(_integer(outer, "outer size", "invariant.tuple", 1))
-    inners = sorted(sorted(_entries(rng, space, inner)) for _ in rows)
-    return _unguarded(NestedMultiSet, space=space,
-                      inners=tuple(_multiset(space, s) for s in inners))
+    return _nested_multiset(space, [_entries(rng, space, inner) for _ in rows])
 
 
 def random_finunif(rng: np.random.Generator, codomain_size: int,

@@ -224,6 +224,11 @@ def _solve(problem: _Problem) -> tuple[_Plan, int, list[int]]:
     supply = [w * (sum(b) // g) for w in a]
     demand = [w * (sum(a) // g) for w in b]
     scale = problem.den * (sum(b) // g)
+    if m == 1:  # a point mass couples by the product; README derives the duals
+        return {(0, j): k for j, k in enumerate(demand)}, scale, [0, *cost[0]]
+    if n == 1:
+        v = max(row[0] for row in cost)
+        return {(i, 0): k for i, k in enumerate(supply)}, scale, [v - row[0] for row in cost] + [v]
     s = (m + n).bit_length()
     mask = (1 << s) - 1
     pot, shift = [0] * (m + n), 0  # pot[i] of a supply with mass left is never read

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,15 @@ from kantorovich.samplers import (random_metric_space, random_multiset,
 def test_nested_tuple_must_be_rectangular(line3):
     with pytest.raises(ValidationError):
         NestedTuple(line3, [[0, 1], [2]])
+
+
+def test_nestings_take_numpy_arrays(line3):
+    rows = np.array([[2, 0], [1, 1]])
+    assert NestedTuple(line3, rows).rows == ((2, 0), (1, 1))
+    assert NestedMultiSet(line3, rows) == NestedMultiSet(line3, [[0, 2], [1, 1]])
+    assert check_assoc_square(line3, np.array([rows, rows]), symmetrized=True) == 0.0
+    with pytest.raises(ValidationError, match="empty nesting"):
+        NestedTuple(line3, np.empty((0, 2), dtype=int))
 
 
 def test_curry_flatten_row_major(line3):

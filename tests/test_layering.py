@@ -21,11 +21,14 @@ SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._ex
                   "measures._fractions", "measures._comparable", "measures._compose",
                   "graded._discrepancy", "spaces._check_table_cap", "spaces._integer",
                   "spaces._real", "spaces._real_array", "spaces._norm", "spaces._worst",
-                  "spaces._unguarded", "spaces._roster", "measures._measure", "power._multiset"}
+                  "spaces._unguarded", "spaces._roster", "measures._measure", "power._multiset",
+                  "graded._nested_tuple", "graded._nested_multiset"}
 # The private path: spaces._unguarded sets an object's fields past the checks of its
-# public constructor; spaces._roster, measures._measure and power._multiset put the
-# numbers they are given in canonical form and go through it.
-PRIVATE_PATH = {"_unguarded", "_roster", "_measure", "_multiset"}
+# public constructor; spaces._roster, measures._measure, power._multiset and graded's
+# _nested_tuple and _nested_multiset put the numbers they are given in canonical form
+# and go through it.
+PRIVATE_PATH = {"_unguarded", "_roster", "_measure", "_multiset", "_nested_tuple",
+                "_nested_multiset"}
 
 
 def _modules() -> dict[str, ast.Module]:

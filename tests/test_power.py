@@ -1,6 +1,9 @@
+import itertools
+import math
 import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,8 @@ from kantorovich import (FinUnifMap, MultiSet, PointTuple,
                          ValidationError, multiset_distance,
                          multiset_distance_bruteforce, power, precompose, quotient,
                          repeat_embedding, tuple_distance, validate_finunif)
-from kantorovich.samplers import random_finunif, random_metric_space, rng_from
+from kantorovich.samplers import (random_euclidean_space, random_finunif, random_metric_space,
+                                  rng_from)
 from kantorovich.tolerances import MAX_ASSIGNMENT_SIZE
 
 
@@ -61,6 +65,38 @@ def test_assignment_matches_bruteforce_oracle():
         fast = multiset_distance(a, b)
         slow = multiset_distance_bruteforce(a, b)
         assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def _numpy_scalar_scan(a: MultiSet, b: MultiSet) -> float:
+    """The oracle's permutation scan as it read numpy scalars off the table."""
+    n = len(a)
+    cost = a.space.dist[np.ix_(a.entries, b.entries)]
+    best = math.inf
+    for perm in itertools.permutations(range(n)):
+        total = 0.0
+        for i, j in enumerate(perm):
+            total += cost[i, j]
+            if total >= best:
+                break
+        else:
+            best = total
+    return best / n
+
+
+def test_bruteforce_oracle_keeps_the_bits_of_its_numpy_scan():
+    # The oracle adds Python floats where it added numpy scalars: the same
+    # additions in the same order, so the same bits. l2 grids give sums that
+    # round; entries drawn from 5 points repeat, and repeats tie.
+    repeats = 0
+    for trial in range(60):
+        rng = rng_from(30, 3, trial)
+        space = random_euclidean_space(rng, 5, 3, "l2")
+        a, b = (MultiSet(space, rng.integers(0, 5, size=trial % 6 + 1).tolist()) for _ in "ab")
+        oracle = multiset_distance_bruteforce(a, b)
+        assert type(oracle) is float
+        assert oracle.hex() == float.hex(_numpy_scalar_scan(a, b)), trial
+        repeats += len(set(a.entries)) < len(a)
+    assert repeats > 20
 
 
 def test_bruteforce_minimizes_over_all_matchings(line4):

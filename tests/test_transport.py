@@ -20,7 +20,7 @@ from kantorovich import (Coupling, DiscreteMeasure, DualPotential, EuclideanSpac
                          FiniteMetricSpace, MultiSet, PointTuple, ValidationError,
                          bistochastic_min, coupling_cost, dirac, empirical, empirical_sym,
                          first_moment, mixture, multiset_distance_bruteforce,
-                         transport, validate_coupling, w1_assignment,
+                         transport, validate_coupling, validate_metric, w1_assignment,
                          w1_bruteforce, w1_dual_value, w1_flow, wasserstein1)
 from kantorovich.measures import _exact_weights
 from kantorovich.samplers import (random_euclidean_space, random_measure, random_metric_space,
@@ -962,3 +962,46 @@ def test_engine_matches_its_reference_at_the_key_width_boundaries():
         wide += max(map(max, _problem(p, q).cost)) >= 2**63
     assert widths == {3: 6, 4: 18, 5: 18, 6: 12}
     assert wide == 27
+
+
+def test_point_mass_sides_match_the_reference_engine():
+    # _solve couples a point mass with the other side by the product, in
+    # closed form. On 1 x 1, 1 x k and k x 1 instances the plan, its
+    # denominator and every node potential must be the reference engine's:
+    # float weights whose sums differ, which scales supply and demand; the
+    # point inside the other support; an l2 grid that breaks the triangle
+    # inequality by an ulp; and a line whose scaled costs need Python ints.
+    cells = rng_from(30, 1).choice(4 * 24 * 24, size=24, replace=False)
+    l2 = EuclideanSpace(np.stack(np.divmod(cells, 48), axis=1), "l2").to_metric()
+    assert [v.axiom for v in validate_metric(l2, 0.0)] == ["triangle"]
+    wide = np.array([k * 2.0**-450 for k in range(12)] + [k * 2.0**400 for k in range(1, 13)])
+    line = FiniteMetricSpace(np.abs(np.subtract.outer(wide, wide)))
+    seen = Counter()
+    for trial in range(48):
+        rng = rng_from(30, 2, trial)
+        space, k, kind = (l2, line)[trial % 2], (1, 2, 5, 13)[trial // 2 % 4], trial // 8 % 3
+        support = rng.choice(24, size=k, replace=False).tolist()
+        x = support[0] if trial // 24 else int(rng.choice(sorted(set(range(24)) - set(support))))
+        if kind == 0:
+            counts = (rng.multinomial(997 - k, [1 / k] * k) + 1).tolist()
+            point, other = dirac(space, x), DiscreteMeasure.from_rational(space, support,
+                                                                          counts, 997)
+        else:
+            w = rng.random(k)
+            point = DiscreteMeasure(space, [x], [(1.0, 1 - 2**-53)[kind - 1]])
+            other = DiscreteMeasure(space, support, (w / w.sum()).tolist())
+        for p, q in ((point, other), (other, point)):
+            problem = _problem(p, q)
+            plan, den, pot = _solve(problem)
+            reference, v = _reference_plan(p, q)
+            weights, unit = _exact_weights(p, q)
+            a, b = weights[:len(p.support)], weights[len(p.support):]
+            assert den == unit * (sum(b) // math.gcd(sum(a), sum(b)))
+            assert sorted((i, j, Fraction(f, den)) for (i, j), f in plan.items()) == reference
+            assert pot == [max(map(sub, v, row)) for row in problem.cost] + v
+            seen["scaled"] += sum(a) != sum(b)
+            seen["inside"] += x in other.support
+            seen["objects"] += problem.table.dtype == object
+            seen[len(p.support), len(q.support)] += 1
+    assert seen["scaled"] and seen["inside"] and seen["objects"]
+    assert seen[1, 1] == 24 and seen[1, 13] == seen[13, 1] == 12
