@@ -17,8 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (DiscreteMeasure, _compose, _exact_or_float, _fractions, _measure,
-                       _weights, dirac)
+from .measures import DiscreteMeasure, _compose, _fractions, _measure, _weights, dirac
 from .monad import NestedMeasure, expectation
 from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
                        simplex_fractions, sweep)
@@ -120,7 +119,7 @@ def operad_compose(nu: SimplexWeights, parts: Sequence[SimplexWeights]) -> Simpl
     """Substitute the part vectors into nu: entries nu_i * part_i[j], in order."""
     if len(parts) != len(nu):
         raise ValidationError("invariant.weights", "need one part per outer entry")
-    return SimplexWeights(*_compose(*_exact_or_float(nu.nums, nu.den, nu.entries),
+    return SimplexWeights(*_compose(nu.nums or nu.entries, nu.den,
                                     [(part.nums, part.den, part.entries) for part in parts],
                                     "invariant.weights", "weight"))
 

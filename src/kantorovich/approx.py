@@ -20,16 +20,10 @@ from .errors import ValidationError
 from .measures import DiscreteMeasure, _exact_weights
 from .monad import empirical_sym
 from .power import MultiSet, sample_size
-from .samplers import RNG_ALGORITHM, rng_from
+from .samplers import rng_from
 from .spaces import _integer, _real
 from .tolerances import MAX_SAMPLE_SIZE, MAX_TRIALS
 from .transport import w1_flow, wasserstein1
-
-__all__ = [
-    "ApproximationReport", "rationalize", "truncate_to_ball",
-    "sample_empirical", "convergence_study", "RNG_ALGORITHM",
-]
-
 
 @dataclass(frozen=True)
 class ApproximationReport:

@@ -98,12 +98,6 @@ def _measure(space: FiniteMetricSpace, support: Sequence[int], weights: Sequence
                       nums=nums, den=den)
 
 
-def _exact_or_float(nums, den, floats) -> tuple:
-    """The weights to compute with, as (values, den): the exact numerators
-    over den if any, else the floats and None."""
-    return (floats, None) if den is None else (nums, den)
-
-
 def _comparable(a: tuple, b: tuple) -> tuple[list, list, int]:
     """Two weight vectors, (nums, den, floats) triples, as numbers whose
     differences are exact: integers over one scale when both are exact,
@@ -246,7 +240,7 @@ def pushforward(f: Sequence[int] | Callable[[int], int], p: DiscreteMeasure,
         if len(arr) != p.space.n:
             raise ValidationError("invariant.map", f"index map must have length {p.space.n}")
         mapped = [arr[i] for i in p.support]
-    return DiscreteMeasure(target, mapped, *_exact_or_float(p.nums, p.den, p.weights))
+    return DiscreteMeasure(target, mapped, p.nums or p.weights, p.den)
 
 
 def mixture(coeffs: Sequence, measures: Sequence[DiscreteMeasure],

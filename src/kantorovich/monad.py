@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import (DiscreteMeasure, _comparable, _compose, _exact_or_float, _fractions,
+from .measures import (DiscreteMeasure, _comparable, _compose, _fractions,
                        _measure, _weights, dirac, mixture, weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance, sample_size
 from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
@@ -125,13 +125,12 @@ def kernel_pushforward(kernel: Callable[[int], DiscreteMeasure],
                        p: DiscreteMeasure) -> NestedMeasure:
     """Push p forward along a kernel from points to measures."""
     return NestedMeasure(p.space, [kernel(x) for x in p.support],
-                         *_exact_or_float(p.nums, p.den, p.weights))
+                         p.nums or p.weights, p.den)
 
 
 def expectation(mu: NestedMeasure) -> DiscreteMeasure:
     """Expected distribution: mix the inner measures by the outer weights."""
-    coeffs, den = _exact_or_float(mu.outer_nums, mu.outer_den, mu.outer_weights)
-    return mixture(coeffs, mu.inner, den)
+    return mixture(mu.outer_nums or mu.outer_weights, mu.inner, mu.outer_den)
 
 
 def nested_expectation_outer(outer_coeffs: Sequence, nested: Sequence[NestedMeasure],

@@ -9,23 +9,12 @@ Three primal routes are provided and cross-certified:
 * ``w1_bruteforce``- permutation scan over the common-denominator expansion,
                      up to MAX_BRUTE_SIZE; the oracle for the other two.
 
-A solve holds its exact numbers in one format: the weights as integers over
-their common denominator, from ``measures``, the costs from the joint
-support to q's support as integers over one power of two, which one build
-makes for every route, and the plan as integers over one denominator. The
-engine's node potentials are optimal LP duals, and any optimal dual
+The engine's node potentials are optimal LP duals, and any optimal dual
 satisfies complementary slackness with any optimal plan, so every route
-reports them. The right-side duals v are folded into one 1-Lipschitz
-function on the joint support by f(z) = min_j (d(z, y_j) - v_j), normalized
-to 0 at the first point; the cost, that function, the duality gap and the
-coupling's masses are computed in these integers, each divided once at the end.
-The engine runs in Python ints. On p's support f is minus the engine's own
-supply potential, so only the rows of q's points outside p's support are
-scanned, on the int64 table where every scaled cost fits in 63 bits.
-
-Results keep no m x n array. A coupling stores only its nonzero entries:
-m + n - 1 where no ties in the cost table make the optimum degenerate, a few
-more where ties do. A potential stores its values as one float array.
+reports them; README's ``flow`` paragraph sets out the engine and the
+integers a solve is computed in. Results keep no m x n array: a coupling
+stores only its nonzero entries, m + n - 1 where no ties in the cost table
+make the optimum degenerate, a few more where ties do.
 """
 
 from __future__ import annotations
@@ -147,20 +136,20 @@ class _Problem(NamedTuple):
     den: int
 
 
-# Tables of up to _SMALL entries skip numpy; larger ones are read _BLOCK entries at a time.
+# Tables of up to _SMALL entries skip numpy, whose fixed cost per call outweighs
+# their work; larger ones are read _BLOCK entries at a time.
 _SMALL, _BLOCK = 32, 2048
 
 
 def _problem(p: DiscreteMeasure, q: DiscreteMeasure) -> _Problem:
     """The weights of p and q as integers over one denominator, and the costs
     from p's support and from extra to q's support times unit, the least
-    power of two that makes them integers, each row converted once. The rows
-    of extra serve the potential only; a larger unit scales every cost alike,
-    which keeps the engine's plan. unit is one over the least value of a
-    cost's lowest set bit, from np.frexp. If every cost * unit is below 2**63,
-    the table is read twice, _BLOCK entries at a time, and only its int64
-    copy is held whole; small tables, and wider ones such as one spanning
-    900 binades, take each float's integer ratio."""
+    power of two that makes them integers; a larger unit scales every cost
+    alike, which keeps the engine's plan. The table is read in blocks, so
+    that only its int64 copy is held whole: a second whole copy would break
+    the peak bound of test_potential_rows_are_reduced_one_at_a_time. A table
+    whose scaled costs need more than 63 bits, such as one spanning 900
+    binades, takes each float's integer ratio."""
     m, n = len(p.support), len(q.support)
     _integer(m * n, "support pairs", "invariant.size_cap", cap=MAX_SUPPORT_PAIRS)
     weights, den = _exact_weights(p, q)
@@ -341,10 +330,9 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int
     the plan up to one correctly rounded division each (int / int).
 
     The potential min_j(table[z][j] - v[j]), v = pot[m:], is -pot[i] on p's
-    rows, as _solve shows, and is scanned on extra's rows only: int64
-    reductions of _BLOCK entries at a time when the table is int64 and
-    max(v) < 2**63 (costs and duals are nonnegative, so no difference
-    overflows), and in Python ints, row by row, otherwise."""
+    rows. On extra's rows it is reduced _BLOCK entries at a time, for the
+    same peak bound as _problem's blocks; int64 is exact when max(v) < 2**63,
+    since costs and duals are nonnegative, so no difference overflows."""
     m = len(p.support)
     v, table = pot[m:], problem.table[m:]
     mins = [-u for u in pot[:m]]
@@ -398,11 +386,12 @@ def _expansion_size(p: DiscreteMeasure) -> int | None:
     return None if any(abs(float(w) - w0) > TAU_WEIGHT for w in p.weights) else len(p.support)
 
 
-def _uniform_expansion(p: DiscreteMeasure) -> list[int]:
-    """Positions in p.support repeated by multiplicity, _expansion_size(p) of them."""
-    if p.den is None:
-        return list(range(len(p.support)))
-    return [i for i, k in enumerate(p.nums) for _ in range(k)]
+def _uniform_expansion(p: DiscreteMeasure, size: int) -> list[int]:
+    """Positions in p.support repeated by multiplicity (one each for float
+    weights), _expansion_size(p) of them, and that list repeated to ``size``,
+    a multiple of its length."""
+    units = [i for i, k in enumerate(p.nums or [1] * len(p.support)) for _ in range(k)]
+    return units * (size // len(units))
 
 
 def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
@@ -423,8 +412,7 @@ def w1_assignment(p: DiscreteMeasure, q: DiscreteMeasure) -> TransportResult:
                  cap=MAX_ASSIGNMENT_SIZE)
     problem = _problem(p, q)
     pot = _solve(problem)[2]
-    left = _uniform_expansion(p) * (n // sizes[0])
-    right = _uniform_expansion(q) * (n // sizes[1])
+    left, right = _uniform_expansion(p, n), _uniform_expansion(q, n)
     table = p.space.dist[np.ix_(p.support, q.support)]
     rows, cols = linear_sum_assignment(table[np.ix_(left, right)])
     plan = Counter((left[r], right[c]) for r, c in zip(rows.tolist(), cols.tolist()))
@@ -439,8 +427,7 @@ def w1_bruteforce(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
         raise ValidationError("solver.rational_required", "brute force needs exact weights")
     d = _integer(math.lcm(p.den, q.den), "common denominator", "invariant.measure",
                  cap=MAX_BRUTE_SIZE)
-    left, right = ([m.support[i] for i in _uniform_expansion(m) * (d // m.den)]
-                   for m in (p, q))
+    left, right = ([m.support[i] for i in _uniform_expansion(m, d)] for m in (p, q))
     return multiset_distance_bruteforce(_multiset(p.space, left), _multiset(q.space, right))
 
 
@@ -477,6 +464,8 @@ def wasserstein1(p: DiscreteMeasure, q: DiscreteMeasure,
 
 def coupling_cost(c: Coupling) -> float:
     """Transport cost sum_ij r_ij d(x_i, y_j) of a coupling."""
+    if c.shape != (len(c.p.support), len(c.q.support)):
+        raise ValidationError("invariant.measure", f"shape {c.shape} does not match supports")
     table = c.p.space.dist[np.ix_(c.p.support, c.q.support)]
     return float(np.sum(c.matrix * table))
 
@@ -509,11 +498,12 @@ def w1_dual_value(p: DiscreteMeasure, q: DiscreteMeasure, f: DualPotential) -> f
     if missing:
         raise ValidationError("invariant.dual", f"potential undefined at {sorted(missing)}")
     pts = sorted(needed)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if abs(fmap[x] - fmap[y]) > float(p.space.dist[x, y]) + TAU_METRIC:
-                raise ValidationError("invariant.dual",
-                                      f"potential is not 1-Lipschitz at pair ({x}, {y})")
+    values = np.array([fmap[z] for z in pts])
+    # The refusal names the first pair i < j in row-major order, argwhere's order.
+    over = np.abs(values[:, None] - values) > p.space.dist[np.ix_(pts, pts)] + TAU_METRIC
+    for i, j in np.argwhere(np.triu(over, 1))[:1].tolist():
+        raise ValidationError("invariant.dual",
+                              f"potential is not 1-Lipschitz at pair ({pts[i]}, {pts[j]})")
     plus = math.fsum(w * fmap[x] for x, w in zip(p.support, p.weights))
     minus = math.fsum(w * fmap[y] for y, w in zip(q.support, q.weights))
     return plus - minus

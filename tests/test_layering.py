@@ -11,17 +11,17 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kantorovich"
 TESTS = Path(__file__).resolve().parent
-# The weight core of ``measures`` (one check, the exact-or-float choice, the
-# integer view of weights, the Fraction view of exact weights, exact
-# comparison of two weight vectors and convex composition), the discrepancy
-# helper of ``graded``, and of ``spaces`` the table-size cap, the integer guard, the
-# real-number guard and its array companion, the norms of coordinate differences and
-# the largest of discrepancies that keeps a NaN; and the private path below.
-SHARED_PRIVATE = {"measures._weights", "measures._exact_or_float", "measures._exact_weights",
-                  "measures._fractions", "measures._comparable", "measures._compose",
-                  "graded._discrepancy", "spaces._check_table_cap", "spaces._integer",
-                  "spaces._real", "spaces._real_array", "spaces._norm", "spaces._worst",
-                  "spaces._unguarded", "spaces._roster", "measures._measure", "power._multiset",
+# The weight core of ``measures`` (one check, the integer view of weights, the
+# Fraction view of exact weights, exact comparison of two weight vectors and convex
+# composition), the discrepancy helper of ``graded``, and of ``spaces`` the
+# table-size cap, the integer guard, the real-number guard and its array companion,
+# the norms of coordinate differences and the largest of discrepancies that keeps a
+# NaN; and the private path below.
+SHARED_PRIVATE = {"measures._weights", "measures._exact_weights", "measures._fractions",
+                  "measures._comparable", "measures._compose", "graded._discrepancy",
+                  "spaces._check_table_cap", "spaces._integer", "spaces._real",
+                  "spaces._real_array", "spaces._norm", "spaces._worst", "spaces._unguarded",
+                  "spaces._roster", "measures._measure", "power._multiset",
                   "graded._nested_tuple", "graded._nested_multiset"}
 # The private path: spaces._unguarded sets an object's fields past the checks of its
 # public constructor; spaces._roster, measures._measure, power._multiset and graded's

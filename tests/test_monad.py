@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kantorovich import (DiscreteMeasure, MultiSet,
@@ -11,7 +12,7 @@ from kantorovich import (DiscreteMeasure, MultiSet,
                          empirical_sym, expectation, kernel_pushforward,
                          measures_equal, mixture, multiset_from_measure, nested_dirac,
                          nested_expectation_outer, nested_weight_discrepancy,
-                         operad_compose, wasserstein1)
+                         operad_compose, pushforward, wasserstein1)
 from kantorovich import power
 from kantorovich.samplers import (random_measure, random_metric_space,
                                   random_nested_multiset,
@@ -110,6 +111,46 @@ def test_exact_coefficients_with_a_float_part_multiply_in_floats(line3):
                               [SimplexWeights([w, 1 - w]), SimplexWeights([1.0])])
     assert composed.fractions is None
     assert composed.entries[0] == product
+
+
+def _bits(x):
+    """The exact weights, their denominator and the bytes of the float weights."""
+    if isinstance(x, SimplexWeights):
+        return x.nums, x.den, np.array(x.entries).tobytes()
+    if isinstance(x, NestedMeasure):
+        return x.outer_nums, x.outer_den, x.outer_weights.tobytes()
+    return x.support, x.nums, x.den, x.weights.tobytes()
+
+
+@pytest.mark.parametrize("outer_exact, inner_exact", [(True, True), (False, False),
+                                                      (True, False)])
+def test_weighted_operations_match_explicit_constructions(line4, outer_exact, inner_exact):
+    # pushforward, kernel_pushforward, expectation and operad_compose read their
+    # input's weights as exact numerators over den, or as floats with den None.
+    # Exact with exact stays exact; with a float part every product is
+    # float(c) * float(w).
+    def weights(exact, *values):
+        return [Fraction(v).limit_denominator(10) if exact else v for v in values]
+
+    def times(c, w):
+        return c * w if outer_exact and inner_exact else float(c) * float(w)
+
+    w, c = weights(outer_exact, 0.1, 0.2, 0.7), weights(outer_exact, 0.3, 0.7)
+    a, unit = weights(inner_exact, 0.2, 0.8), weights(inner_exact, 1.0)
+    p = DiscreteMeasure(line4, [0, 1, 3], w)
+    assert _bits(pushforward([0, 0, 2, 2], p)) == _bits(DiscreteMeasure(line4, [0, 0, 2], w))
+    inner = [DiscreteMeasure(line4, [0, 1], a), DiscreteMeasure(line4, [3], unit),
+             DiscreteMeasure(line4, [2], unit)]
+    mu = kernel_pushforward(dict(zip(p.support, inner)).get, p)
+    assert _bits(mu) == _bits(NestedMeasure(line4, inner, w))
+    assert _bits(expectation(mu)) == _bits(DiscreteMeasure(
+        line4, [0, 1, 3, 2], [times(w[0], a[0]), times(w[0], a[1]), times(w[1], unit[0]),
+                              times(w[2], unit[0])]))
+    composed = operad_compose(SimplexWeights(c), [SimplexWeights(a), SimplexWeights(unit)])
+    assert _bits(composed) == _bits(SimplexWeights(
+        [times(c[0], a[0]), times(c[0], a[1]), times(c[1], unit[0])]))
+    exact = outer_exact and inner_exact
+    assert (expectation(mu).den is not None, composed.den is not None) == (exact, exact)
 
 
 def test_expectation_mixes(line3):

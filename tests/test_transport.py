@@ -26,7 +26,7 @@ from kantorovich.measures import _exact_weights
 from kantorovich.samplers import (random_euclidean_space, random_measure, random_metric_space,
                                   random_rational_pair, rng_from)
 from kantorovich.tolerances import (MAX_ASSIGNMENT_SIZE, MAX_BRUTE_SIZE, MAX_SUPPORT_PAIRS,
-                                    TAU_SOLVER)
+                                    TAU_METRIC, TAU_SOLVER)
 from kantorovich.transport import _problem, _solve
 
 
@@ -76,6 +76,21 @@ def test_validate_coupling_flags_bad_marginals(half_half, quarter_three):
         assert validate_coupling(Coupling(half_half, quarter_three, matrix)) == expected
 
 
+def test_coupling_cost_refuses_a_matrix_that_does_not_fit_the_supports(line3):
+    # A 3 x 3 matrix made numpy raise a bare broadcast error, and a 1 x 1 one
+    # was broadcast against the 2 x 1 table to a cost of 2.0.
+    p = DiscreteMeasure(line3, [0, 2], [Fraction(1, 2), Fraction(1, 2)])
+    q = dirac(line3, 1)
+    for matrix, shape in ((np.ones((3, 3)), (3, 3)), ([[1.0]], (1, 1))):
+        coupling = Coupling(p, q, matrix)
+        with pytest.raises(ValidationError) as info:
+            coupling_cost(coupling)
+        assert info.value.code == "invariant.measure"
+        assert str(shape) in str(info.value)
+        assert validate_coupling(coupling) == [f"shape {shape} does not match supports"]
+    assert coupling_cost(Coupling(p, q, [[0.5], [0.5]])) == 1.0
+
+
 def test_validate_coupling_refuses_a_nan_tolerance(line3):
     # NaN fails every comparison, so it would switch every check off.
     empty = Coupling(dirac(line3, 0), dirac(line3, 2), [[0.0]])
@@ -96,6 +111,55 @@ def test_dual_value_rejects_non_lipschitz(line3, half_half, quarter_three):
     f = DualPotential((0, 1, 2), (0.0, 0.0, 5.0))
     with pytest.raises(ValidationError, match="1-Lipschitz"):
         w1_dual_value(half_half, quarter_three, f)
+
+
+def _loop_dual_value(p, q, f):
+    """w1_dual_value as it was with a Python loop over the pairs, verbatim."""
+    fmap = dict(zip(f.points, f.values.tolist()))
+    needed = set(p.support) | set(q.support)
+    missing = needed - set(f.points)
+    if missing:
+        raise ValidationError("invariant.dual", f"potential undefined at {sorted(missing)}")
+    pts = sorted(needed)
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            if abs(fmap[x] - fmap[y]) > float(p.space.dist[x, y]) + TAU_METRIC:
+                raise ValidationError("invariant.dual",
+                                      f"potential is not 1-Lipschitz at pair ({x}, {y})")
+    plus = math.fsum(w * fmap[x] for x, w in zip(p.support, p.weights))
+    minus = math.fsum(w * fmap[y] for y, w in zip(q.support, q.weights))
+    return plus - minus
+
+
+def test_dual_value_matches_the_pair_loop():
+    # The Lipschitz check compares all pairs in one array; the value and the
+    # first pair refused must be those of the loop. The potentials are the
+    # engine's own, some moved at one point by an amount near the slack, and
+    # some put in a random order, so that refusals come at varied pairs.
+    refused = 0
+    for seed in range(60):
+        rng = rng_from(seed)
+        space = random_euclidean_space(rng, int(rng.integers(2, 12)), 2,
+                                       ["l1", "l2", "linf"][seed % 3])
+        p, q = (random_measure(rng, space, 6, exact=seed % 2 == 0) for _ in range(2))
+        dual = w1_flow(p, q).dual
+        points = list(dual.points)
+        rng.shuffle(points)
+        base = dict(zip(dual.points, dual.values.tolist()))
+        values = [base[z] for z in points]
+        k = int(rng.integers(len(values)))
+        values[k] += float(rng.choice([0.0, TAU_METRIC, 2 * TAU_METRIC, 1e-3, -0.5, 3.0]))
+        f = DualPotential(points, values)
+        try:
+            expected = _loop_dual_value(p, q, f)
+        except ValidationError as error:
+            refused += 1
+            with pytest.raises(ValidationError) as info:
+                w1_dual_value(p, q, f)
+            assert (info.value.code, str(info.value)) == (error.code, str(error))
+        else:
+            assert float.hex(w1_dual_value(p, q, f)) == float.hex(expected)
+    assert 10 < refused < 50
 
 
 def test_dual_value_requires_support_coverage(line3, half_half):
