@@ -17,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, _compose, _fractions, _measure, _weights, dirac
-from .monad import NestedMeasure, expectation
-from .samplers import (distinct_points, random_measure, rng_from, simplex_floats,
-                       simplex_fractions, sweep)
-from .spaces import NORMS, _integer, _norm, _real, _real_array, _roster, _worst
+from .measures import DiscreteMeasure, _compose, _fractions, _weights, dirac
+from .monad import _nested_measure, expectation
+from .samplers import (_random_measure, _simplex_fractions, distinct_points, rng_from,
+                       simplex_floats, sweep)
+from .spaces import NORMS, _integer, _norm, _real, _real_array, _roster, _unguarded, _worst
 from .tolerances import MAX_ALGEBRA_DIM
 
 
@@ -156,6 +156,9 @@ def convex_axioms(algebra: ConvexAlgebra, trials: int, seed: int = 0,
                   weight_on_first: bool = True) -> dict[str, float]:
     """Worst discrepancy for the four convex-space axioms under either
     convention for which argument carries the weight."""
+    if type(weight_on_first) not in (bool, np.bool_):
+        raise ValidationError("invariant.algebra",
+                              f"weight_on_first {weight_on_first!r} is not a bool")
 
     def comb(lam: float, x, y):
         return algebra._combine(lam if weight_on_first else 1.0 - lam, x, y)
@@ -201,16 +204,16 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
     def trial(rng) -> tuple[float, float, float, float, float]:
         k = int(rng.integers(2, 7))
         points = np.array(distinct_points(
-            k, lambda: tuple(np.round(rng.uniform(-8.0, 8.0, size=algebra.dim), 3).tolist())))
+            k, lambda: tuple(rng.uniform(-8.0, 8.0, size=algebra.dim).round(3).tolist())))
         space = _roster(points, algebra.norm)
 
         i = int(rng.integers(0, k))
         unit = algebra._distance(barycenter(algebra, dirac(space, i)), points[i])
 
         n_inner = int(rng.integers(1, 4))
-        inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
+        inner = [_random_measure(rng, space, k) for _ in range(n_inner)]
         den = int(rng.integers(1, 13))
-        mu = NestedMeasure(space, inner, simplex_fractions(rng, n_inner, den), den)
+        mu = _nested_measure(space, inner, _simplex_fractions(rng, n_inner, den), den)
         via_points = np.zeros(algebra.dim)
         for w, m in zip(mu.outer_weights, mu.inner):
             via_points += float(w) * barycenter(algebra, m)
@@ -229,9 +232,10 @@ def check_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int = 0) -> di
                                          _mean(points[np.concatenate(blocks)]))
 
         matrix, offset = _random_short_affine(rng, algebra)
-        p = random_measure(rng, space, space.n)
-        image_space = _roster(points @ matrix.T + offset, algebra.norm)
-        image_measure = _measure(image_space, p.support, p.nums, p.den)
+        p = _random_measure(rng, space, k)
+        image_measure = _unguarded(DiscreteMeasure)(
+            space=_roster(points @ matrix.T + offset, algebra.norm), support=p.support,
+            weights=p.weights, nums=p.nums, den=p.den)
         affine = algebra._distance(matrix @ barycenter(algebra, p) + offset,
                                    barycenter(algebra, image_measure))
         return unit, multiplication, power_triangle, power_square, affine
@@ -245,9 +249,9 @@ def _random_short_affine(rng: np.random.Generator,
     """A random affine map rescaled to be distance-nonincreasing."""
     matrix = rng.uniform(-1.0, 1.0, size=(algebra.dim, algebra.dim))
     if algebra.norm == "l1":
-        op = float(np.max(np.sum(np.abs(matrix), axis=0)))
+        op = float(np.abs(matrix).sum(axis=0).max())
     elif algebra.norm == "linf":
-        op = float(np.max(np.sum(np.abs(matrix), axis=1)))
+        op = float(np.abs(matrix).sum(axis=1).max())
     else:
         op = _l2_norm_power_iteration(matrix)
     if op > 0:
@@ -262,13 +266,14 @@ def _l2_norm_power_iteration(matrix: np.ndarray) -> float:
     depends on the iterate alone, so step 60 is read off the first cycle."""
     gram = matrix.T @ matrix
     v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
+    w = np.empty_like(v)  # gram @ v; each step writes both buffers in place
     seen = {v.tobytes(): 0}  # the iterates so far, in step order
     for step in range(1, 61):
-        w = gram @ v
-        norm = math.sqrt(float(w.dot(w)))
+        gram.dot(v, out=w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             return 0.0
-        v = w / norm
+        np.divide(w, norm, out=v)
         start = seen.setdefault(v.tobytes(), step)
         if start < step:
             v = np.frombuffer(list(seen)[start + (60 - start) % (step - start)])

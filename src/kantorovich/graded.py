@@ -76,7 +76,7 @@ class NestedMultiSet:
 
 def curry_flatten(nt: NestedTuple) -> PointTuple:
     """(X^m)^n -> X^(m*n): row-major concatenation; an isometry."""
-    return _unguarded(PointTuple, space=nt.space, entries=tuple(x for row in nt.rows for x in row))
+    return _unguarded(PointTuple)(space=nt.space, entries=tuple(x for row in nt.rows for x in row))
 
 
 def flatten_multiset(nms: NestedMultiSet) -> MultiSet:
@@ -86,13 +86,13 @@ def flatten_multiset(nms: NestedMultiSet) -> MultiSet:
 
 def _nested_tuple(space: FiniteMetricSpace, rows) -> NestedTuple:
     """A NestedTuple of equal rows of checked entries, past the public checks."""
-    return _unguarded(NestedTuple, space=space, rows=tuple(map(tuple, rows)))
+    return _unguarded(NestedTuple)(space=space, rows=tuple(map(tuple, rows)))
 
 
 def _nested_multiset(space: FiniteMetricSpace, inners) -> NestedMultiSet:
     """A NestedMultiSet of equal inners of checked entries, past the public checks."""
     sets = sorted((_multiset(space, inner) for inner in inners), key=lambda s: s.entries)
-    return _unguarded(NestedMultiSet, space=space, inners=tuple(sets))
+    return _unguarded(NestedMultiSet)(space=space, inners=tuple(sets))
 
 
 def quotient_rows(nt: NestedTuple) -> NestedMultiSet:
@@ -106,8 +106,8 @@ def nested_tuple_distance(a: NestedTuple, b: NestedTuple) -> float:
         raise ValidationError("invariant.tuple", "shape mismatch")
     total = 0.0
     for ra, rb in zip(a.rows, b.rows):
-        total += tuple_distance(_unguarded(PointTuple, space=a.space, entries=ra),
-                                _unguarded(PointTuple, space=a.space, entries=rb))
+        total += tuple_distance(_unguarded(PointTuple)(space=a.space, entries=ra),
+                                _unguarded(PointTuple)(space=a.space, entries=rb))
     return total / a.outer
 
 

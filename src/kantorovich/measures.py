@@ -94,8 +94,8 @@ def _measure(space: FiniteMetricSpace, support: Sequence[int], weights: Sequence
              den: int | None = None) -> DiscreteMeasure:
     """A DiscreteMeasure from a support and weights the package made, past the public checks."""
     support, weights, nums, den = _canonical(weights, den, support)
-    return _unguarded(DiscreteMeasure, space=space, support=support, weights=weights,
-                      nums=nums, den=den)
+    return _unguarded(DiscreteMeasure)(space=space, support=support, weights=weights,
+                                       nums=nums, den=den)
 
 
 def _comparable(a: tuple, b: tuple) -> tuple[list, list, int]:

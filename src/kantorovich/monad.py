@@ -14,12 +14,12 @@ from typing import Callable, Sequence
 
 from .errors import ValidationError
 from .graded import NestedMultiSet, flatten_multiset
-from .measures import (DiscreteMeasure, _comparable, _compose, _fractions,
+from .measures import (DiscreteMeasure, _canonical, _comparable, _compose, _fractions,
                        _measure, _weights, dirac, mixture, weight_discrepancy)
 from .power import MultiSet, PointTuple, multiset_distance, sample_size
-from .samplers import (random_measure, random_space, rng_from, simplex_floats, simplex_fractions,
+from .samplers import (_random_measure, _simplex_fractions, random_space, rng_from, simplex_floats,
                        sweep)
-from .spaces import FiniteMetricSpace, _unguarded, _worst, same_space
+from .spaces import FiniteMetricSpace, _integer, _unguarded, _worst, same_space
 from .transport import w1_flow
 
 
@@ -61,6 +61,18 @@ class NestedMeasure:
         return f"NestedMeasure(outer={len(self.inner)})"
 
 
+def _nested_measure(space: FiniteMetricSpace, inner: Sequence[DiscreteMeasure],
+                    weights: Sequence, den: int | None = None) -> NestedMeasure:
+    """A NestedMeasure of measures the package made on ``space``, past the public checks;
+    the outer weights are integer numerators over ``den`` (every inner measure exact), or
+    floats if ``den`` is None. The roster is put in canonical form as the constructor does."""
+    keys = [m.canonical_key() for m in inner]
+    first = dict(zip(reversed(keys), reversed(inner)))  # the first measure of each key
+    keys, weights, nums, den = _canonical(list(weights), den, keys, _roster_order)
+    return _unguarded(NestedMeasure)(space=space, inner=tuple([first[key] for key in keys]),
+                                     outer_weights=weights, outer_nums=nums, outer_den=den)
+
+
 def _roster_order(key) -> tuple:
     support, nums, den = key
     return (support, tuple(num / den for num in nums))
@@ -93,7 +105,7 @@ def empirical(t: PointTuple) -> DiscreteMeasure:
 
 def empirical_sym(ms: MultiSet) -> DiscreteMeasure:
     """Uniform measure of a multiset; the order-free empirical map."""
-    return empirical(_unguarded(PointTuple, space=ms.space, entries=ms.entries))
+    return empirical(_unguarded(PointTuple)(space=ms.space, entries=ms.entries))
 
 
 def multiset_from_measure(p: DiscreteMeasure, size: int | None = None) -> MultiSet:
@@ -180,8 +192,7 @@ def check_expectation_flatten(nms: NestedMultiSet) -> float:
 def _ppx_image(nms: NestedMultiSet) -> NestedMeasure:
     """Empirical measure on empirical measures of the inner multisets."""
     n = nms.outer
-    inner = [empirical_sym(s) for s in nms.inners]
-    return NestedMeasure(nms.space, inner, [1] * n, n)
+    return _nested_measure(nms.space, [empirical_sym(s) for s in nms.inners], [1] * n, n)
 
 
 def check_ppx_square(nms: NestedMultiSet) -> bool:
@@ -195,12 +206,8 @@ def check_ppx_square(nms: NestedMultiSet) -> bool:
     right_down = _ppx_image(nms)
 
     counts = Counter(nms.inners)
-    n = nms.outer
-    down_right = NestedMeasure(
-        nms.space,
-        [empirical_sym(s) for s in counts],
-        list(counts.values()), n,
-    )
+    down_right = _nested_measure(nms.space, [empirical_sym(s) for s in counts],
+                                 list(counts.values()), nms.outer)
     return nested_weight_discrepancy(right_down, down_right) == 0.0
 
 
@@ -215,21 +222,22 @@ def check_monad_laws(trials: int, seed: int = 0, max_points: int = 6,
     Each trial draws a fresh space with ``random_space`` and measures on it
     with ``random_measure``; with exact weights every discrepancy is 0.0.
     """
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
 
     def coeffs(rng, k: int) -> tuple[list, int | None]:
-        return (simplex_fractions(rng, k, 16), 16) if exact else (simplex_floats(rng, k), None)
+        return (_simplex_fractions(rng, k, 16), 16) if exact else (simplex_floats(rng, k), None)
 
     def trial(rng) -> tuple[float, float, float]:
         space = random_space(rng, max_points)
-        p = random_measure(rng, space, max_support, exact)
+        p = _random_measure(rng, space, max_support, exact)
         nested = []
         for _i in range(int(rng.integers(1, 4))):
             js = int(rng.integers(1, 4))
-            inner = [random_measure(rng, space, max_support, exact) for _j in range(js)]
-            nested.append(NestedMeasure(space, inner, *coeffs(rng, js)))
+            inner = [_random_measure(rng, space, max_support, exact) for _j in range(js)]
+            nested.append(_nested_measure(space, inner, *coeffs(rng, js)))
         outer, den = coeffs(rng, len(nested))
-        inner_first = expectation(NestedMeasure(space, [expectation(nu) for nu in nested],
-                                                outer, den))
+        inner_first = expectation(_nested_measure(space, [expectation(nu) for nu in nested],
+                                                  outer, den))
         outer_first = expectation(nested_expectation_outer(outer, nested, den))
         return (weight_discrepancy(expectation(nested_dirac(p)), p),
                 weight_discrepancy(expectation(kernel_pushforward(dirac_kernel(space), p)), p),

@@ -73,7 +73,7 @@ class MultiSet:
 
 def _multiset(space: FiniteMetricSpace, entries: Sequence[int]) -> MultiSet:
     """A MultiSet of points of the space that the package made, past the public checks."""
-    return _unguarded(MultiSet, space=space, entries=tuple(sorted(entries)))
+    return _unguarded(MultiSet)(space=space, entries=tuple(sorted(entries)))
 
 
 def tuple_distance(a: PointTuple, b: PointTuple) -> float:
@@ -167,5 +167,5 @@ def precompose(phi: FinUnifMap, t: PointTuple) -> PointTuple:
     if phi.codomain_size != len(t):
         raise ValidationError("invariant.finunif",
                               f"map codomain {phi.codomain_size} != tuple length {len(t)}")
-    return _unguarded(PointTuple, space=t.space,
-                      entries=tuple(t.entries[v] for v in phi.assignment))
+    return _unguarded(PointTuple)(space=t.space,
+                                  entries=tuple(t.entries[v] for v in phi.assignment))

@@ -45,7 +45,10 @@ def sweep(trials: int, rng: np.random.Generator, names: Sequence[str],
 def distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
     """The first ``k`` distinct values of repeated ``draw()`` calls, in the
     order they were first drawn."""
-    k = _integer(k, "point count", "invariant.space", 0)
+    return _distinct_points(_integer(k, "point count", "invariant.space", 0), draw)
+
+
+def _distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
     points: dict[tuple, None] = {}
     while len(points) < k:
         points.setdefault(draw())
@@ -54,7 +57,11 @@ def distinct_points(k: int, draw: Callable[[], tuple]) -> list[tuple]:
 
 def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetricSpace:
     """Random integer distance table (raw entries 1..9), closed under shortest paths."""
-    n = _integer(n_points, "n_points", "invariant.space", 1)
+    return _random_metric_space(rng, _integer(n_points, "n_points", "invariant.space", 1,
+                                              cap=MAX_RANDOM_POINTS))
+
+
+def _random_metric_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
     if n == 1:
         return FiniteMetricSpace([[0.0]])
     raw = rng.integers(1, 10, size=(n, n))
@@ -63,7 +70,7 @@ def random_metric_space(rng: np.random.Generator, n_points: int) -> FiniteMetric
     for k in range(n):
         table = np.minimum(table, table[:, k:k + 1] + table[k:k + 1, :])
     table.setflags(write=False)
-    return _unguarded(FiniteMetricSpace, dist=table, pseudometric_ok=False, coords=None)
+    return _unguarded(FiniteMetricSpace)(dist=table, pseudometric_ok=False, coords=None)
 
 
 def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
@@ -71,11 +78,16 @@ def random_euclidean_space(rng: np.random.Generator, n_points: int, dim: int,
     """Distinct points of the integer grid [-8, 8]^dim under a random or given norm."""
     dim = _integer(dim, "dim", "invariant.space", 1)
     n_points = _integer(n_points, "n_points", "invariant.space", 1, cap=MAX_RANDOM_POINTS ** dim)
+    if norm is not None and norm not in NORMS:
+        raise ValidationError("invariant.space", f"unknown norm {norm!r}")
+    return _random_euclidean_space(rng, n_points, dim, norm)
+
+
+def _random_euclidean_space(rng: np.random.Generator, n: int, dim: int,
+                            norm: str | None = None) -> FiniteMetricSpace:
     if norm is None:
         norm = NORMS[int(rng.integers(0, len(NORMS)))]
-    elif norm not in NORMS:
-        raise ValidationError("invariant.space", f"unknown norm {norm!r}")
-    points = distinct_points(n_points, lambda: tuple(int(rng.integers(-8, 9)) for _ in range(dim)))
+    points = _distinct_points(n, lambda: tuple(int(rng.integers(-8, 9)) for _ in range(dim)))
     return _roster(np.array(points, dtype=float), norm)
 
 
@@ -84,16 +96,18 @@ def random_space(rng: np.random.Generator, max_points: int = 6) -> FiniteMetricS
     max_points = _integer(max_points, "max_points", "invariant.space", 2, cap=MAX_RANDOM_POINTS)
     n = int(rng.integers(2, max_points + 1))
     if rng.integers(0, 2) == 0:
-        return random_metric_space(rng, n)
-    dim = int(rng.integers(1, 4))
-    return random_euclidean_space(rng, n, dim)
+        return _random_metric_space(rng, n)
+    return _random_euclidean_space(rng, n, int(rng.integers(1, 4)))
 
 
 def simplex_fractions(rng: np.random.Generator, k: int, den: int) -> list[int]:
     """Exact weights in the k-simplex with common denominator den, as their
     k integer numerators summing to den (zeros allowed)."""
     k = _integer(k, "k", "invariant.weights", 1)
-    den = _integer(den, "den", "invariant.weights", 1)
+    return _simplex_fractions(rng, k, _integer(den, "den", "invariant.weights", 1))
+
+
+def _simplex_fractions(rng: np.random.Generator, k: int, den: int) -> list[int]:
     cuts = [0, *sorted(int(rng.integers(0, den + 1)) for _ in range(k - 1)), den]
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
@@ -105,18 +119,23 @@ def simplex_floats(rng: np.random.Generator, k: int) -> list[float]:
 
 
 def _support(rng: np.random.Generator, space: FiniteMetricSpace, max_support: int) -> list[int]:
-    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
     k = int(rng.integers(1, min(max_support, space.n) + 1))
-    return [int(i) for i in rng.choice(space.n, size=k, replace=False)]
+    return rng.choice(space.n, size=k, replace=False).tolist()
 
 
 def random_measure(rng: np.random.Generator, space: FiniteMetricSpace,
                    max_support: int = 4, exact: bool = True) -> DiscreteMeasure:
     """Random measure; exact rational weights (denominator 1..12) by default."""
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
+    return _random_measure(rng, space, max_support, exact)
+
+
+def _random_measure(rng: np.random.Generator, space: FiniteMetricSpace, max_support: int,
+                    exact: bool = True) -> DiscreteMeasure:
     support = _support(rng, space, max_support)
     if exact:
         den = int(rng.integers(1, 13))
-        return _measure(space, support, simplex_fractions(rng, len(support), den), den)
+        return _measure(space, support, _simplex_fractions(rng, len(support), den), den)
     return _measure(space, support, simplex_floats(rng, len(support)))
 
 
@@ -124,10 +143,11 @@ def random_rational_pair(rng: np.random.Generator, space: FiniteMetricSpace,
                          max_support: int = 4, den: int = 6):
     """Two measures sharing one exact common denominator (brute-force ready)."""
     den = _integer(den, "den", "invariant.weights", 1)
+    max_support = _integer(max_support, "max_support", "invariant.measure", 1)
     out = []
     for _ in range(2):
         support = _support(rng, space, max_support)
-        out.append(_measure(space, support, simplex_fractions(rng, len(support), den), den))
+        out.append(_measure(space, support, _simplex_fractions(rng, len(support), den), den))
     return out[0], out[1]
 
 
@@ -138,7 +158,7 @@ def _entries(rng: np.random.Generator, space: FiniteMetricSpace, length: int) ->
 
 def random_tuple(rng: np.random.Generator, space: FiniteMetricSpace,
                  length: int) -> PointTuple:
-    return _unguarded(PointTuple, space=space, entries=_entries(rng, space, length))
+    return _unguarded(PointTuple)(space=space, entries=_entries(rng, space, length))
 
 
 def random_multiset(rng: np.random.Generator, space: FiniteMetricSpace,

@@ -7,6 +7,7 @@ read points back off the space.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -231,12 +232,19 @@ def _real_array(values, what: str, code: str, finite: bool = True) -> np.ndarray
     return arr
 
 
-def _unguarded(cls, **fields):
-    """A ``cls`` with fields the package made in canonical form, past its public guards."""
-    made = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(made, name, value)
-    return made
+@functools.cache
+def _unguarded(cls):
+    """The maker of a ``cls`` from fields the package made in canonical form, past its
+    public guards: ``_unguarded(cls)(slot=value, ...)``, one keyword for each slot. It sets
+    the slots directly, a frozen class's through ``object.__setattr__``, as a dataclass's
+    generated ``__init__`` does, without a loop over the fields."""
+    frozen = cls.__setattr__ is not object.__setattr__
+    sets = [f"setattr(made, {name!r}, {name})" if frozen else f"made.{name} = {name}"
+            for name in cls.__slots__]
+    scope = {"new": object.__new__, "cls": cls, "setattr": object.__setattr__}
+    exec(f"def make(*, {', '.join(cls.__slots__)}):\n    made = new(cls)\n    "
+         + "\n    ".join(sets) + "\n    return made", scope)
+    return scope["make"]
 
 
 def _roster(points: np.ndarray, norm: str) -> FiniteMetricSpace:
@@ -245,7 +253,7 @@ def _roster(points: np.ndarray, norm: str) -> FiniteMetricSpace:
     points.setflags(write=False)
     dist = _norm(points[:, None, :] - points[None, :, :], norm)
     dist.setflags(write=False)
-    return _unguarded(FiniteMetricSpace, dist=dist, pseudometric_ok=False, coords=points)
+    return _unguarded(FiniteMetricSpace)(dist=dist, pseudometric_ok=False, coords=points)
 
 
 def _worst(*values: float) -> float:

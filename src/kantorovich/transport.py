@@ -359,9 +359,9 @@ def _assemble(p: DiscreteMeasure, q: DiscreteMeasure, plan: _Plan, plan_den: int
     values = np.array([f[z] / problem.unit for z in points])
     values.setflags(write=False)
     return TransportResult(cost=primal / (plan_den * problem.unit),
-                           coupling=_unguarded(Coupling, p=p, q=q, shape=(m, n), _index=index,
-                                               _mass=np.array([w for w in masses if w])),
-                           dual=_unguarded(DualPotential, points=points, values=values),
+                           coupling=_unguarded(Coupling)(p=p, q=q, shape=(m, n), _index=index,
+                                                         _mass=np.array([w for w in masses if w])),
+                           dual=_unguarded(DualPotential)(points=points, values=values),
                            gap=gap / (plan_den * problem.den * problem.unit), solver=solver)
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace,
+from kantorovich import (ConvexAlgebra, DiscreteMeasure, EuclideanSpace, NestedMeasure,
                          SimplexWeights, ValidationError, barycenter,
                          c_lambda, check_algebra_laws, check_metric_compat,
-                         convex_axioms, dirac, mean_point, mixture,
+                         convex_axioms, dirac, expectation, mean_point, mixture,
                          operad_compose, wasserstein1)
 from kantorovich.algebras import _l2_norm_power_iteration
-from kantorovich.samplers import rng_from, simplex_fractions
+from kantorovich.samplers import (distinct_points, random_measure, rng_from, simplex_fractions,
+                                  sweep)
 
 
 def test_c_lambda_convention_and_range():
@@ -121,6 +122,17 @@ def test_convention_flip_is_consistent():
     assert all(v <= 1e-10 for v in flipped.values()), flipped
 
 
+def test_convention_flag_must_be_a_bool():
+    # "no" would read as true, and None as false: both are refused.
+    alg = ConvexAlgebra(2, "l2")
+    for flag in ("no", None, 0, 1, 1.0, [True]):
+        with pytest.raises(ValidationError, match="is not a bool") as info:
+            convex_axioms(alg, trials=1, weight_on_first=flag)
+        assert info.value.code == "invariant.algebra"
+    assert (convex_axioms(alg, trials=5, seed=6, weight_on_first=np.False_)
+            == convex_axioms(alg, trials=5, seed=6, weight_on_first=False))
+
+
 def test_barycenter_is_short_map():
     # W1 between measures dominates distance between their barycenters
     rng = rng_from(52, 0)
@@ -209,3 +221,110 @@ def test_power_iteration_keeps_the_bits_of_the_sixty_step_loop():
     assert 1 in periods
     assert any(period is not None and period >= 2 for period in periods)
     assert None in periods
+
+
+def _guarded_algebra_laws(algebra: ConvexAlgebra, trials: int, seed: int) -> dict[str, float]:
+    """The reference: check_algebra_laws as it was before its trial took the
+    private path, verbatim but for the public constructors and calls in place
+    of the private builders (EuclideanSpace(...).to_metric() for the rosters,
+    DiscreteMeasure for the image measure, mean_point for the means,
+    ConvexAlgebra.distance for the distances), so that every value goes
+    through its guards."""
+
+    def trial(rng):
+        k = int(rng.integers(2, 7))
+        points = np.array(distinct_points(
+            k, lambda: tuple(np.round(rng.uniform(-8.0, 8.0, size=algebra.dim), 3).tolist())))
+        space = EuclideanSpace(points, algebra.norm).to_metric()
+
+        i = int(rng.integers(0, k))
+        unit = algebra.distance(barycenter(algebra, dirac(space, i)), points[i])
+
+        n_inner = int(rng.integers(1, 4))
+        inner = [random_measure(rng, space, space.n) for _ in range(n_inner)]
+        den = int(rng.integers(1, 13))
+        mu = NestedMeasure(space, inner, simplex_fractions(rng, n_inner, den), den)
+        via_points = np.zeros(algebra.dim)
+        for w, m in zip(mu.outer_weights, mu.inner):
+            via_points += float(w) * barycenter(algebra, m)
+        multiplication = algebra.distance(barycenter(algebra, expectation(mu)), via_points)
+
+        m_size = int(rng.integers(1, 5))
+        reps = int(rng.integers(1, 4))
+        sample = points[[int(rng.integers(0, k)) for _ in range(m_size)]]
+        repeated = np.concatenate([sample] * reps, axis=0)
+        power_triangle = algebra.distance(mean_point(sample), mean_point(repeated))
+
+        blocks = [[int(rng.integers(0, k)) for _ in range(m_size)]
+                  for _ in range(int(rng.integers(1, 4)))]
+        block_means = np.array([mean_point(points[b]) for b in blocks])
+        power_square = algebra.distance(mean_point(block_means),
+                                        mean_point(points[np.concatenate(blocks)]))
+
+        matrix, offset = _guarded_short_affine(rng, algebra)
+        p = random_measure(rng, space, space.n)
+        image_space = EuclideanSpace(points @ matrix.T + offset, algebra.norm).to_metric()
+        image_measure = DiscreteMeasure(image_space, p.support, p.nums, p.den)
+        affine = algebra.distance(matrix @ barycenter(algebra, p) + offset,
+                                  barycenter(algebra, image_measure))
+        return unit, multiplication, power_triangle, power_square, affine
+
+    return sweep(trials, rng_from(seed, 203), ("unit", "multiplication", "power_triangle",
+                                               "power_square", "affine_naturality"), trial)
+
+
+def _guarded_short_affine(rng, algebra: ConvexAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The reference short affine map, verbatim."""
+    matrix = rng.uniform(-1.0, 1.0, size=(algebra.dim, algebra.dim))
+    if algebra.norm == "l1":
+        op = float(np.max(np.sum(np.abs(matrix), axis=0)))
+    elif algebra.norm == "linf":
+        op = float(np.max(np.sum(np.abs(matrix), axis=1)))
+    else:
+        op = _allocating_power_iteration(matrix)
+    if op > 0:
+        matrix = matrix / op * 0.95
+    offset = rng.uniform(-3.0, 3.0, size=algebra.dim)
+    return matrix, offset
+
+
+def _allocating_power_iteration(matrix: np.ndarray) -> float:
+    """The reference: the cycle-reading spectral-norm loop that made new
+    arrays at each step, verbatim."""
+    gram = matrix.T @ matrix
+    v = np.ones(matrix.shape[1]) / math.sqrt(matrix.shape[1])
+    seen = {v.tobytes(): 0}  # the iterates so far, in step order
+    for step in range(1, 61):
+        w = gram @ v
+        norm = math.sqrt(float(w.dot(w)))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        start = seen.setdefault(v.tobytes(), step)
+        if start < step:
+            v = np.frombuffer(list(seen)[start + (60 - start) % (step - start)])
+            break
+    return math.sqrt(float(v @ gram @ v))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_algebra_laws_keep_the_bits_of_the_guarded_trial(norm):
+    # The trial draws its measures and nesting through the private path and
+    # steps the power iteration in place; the draws, the arithmetic and so
+    # every bit of every worst value stay those of the guarded trial.
+    for dim in (1, 2, 3, 5):
+        algebra = ConvexAlgebra(dim, norm)
+        for seed in (0, 3, 11, 2024):
+            got = check_algebra_laws(algebra, trials=25, seed=seed)
+            want = _guarded_algebra_laws(algebra, trials=25, seed=seed)
+            assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_power_iteration_keeps_the_bits_of_the_loop_it_replaced():
+    rng = rng_from(0, 901)
+    matrices = [rng.uniform(-1.0, 1.0, size=(dim, dim)) for dim in range(1, 9) for _ in range(150)]
+    matrices += [np.zeros((3, 3)), np.eye(4), np.outer([1.0, -2.0, 0.5], [0.3, 0.7, -1.0]),
+                 np.diag([3.0, -3.0, 1.0]), np.ones((8, 8))]
+    for matrix in matrices:
+        got = _l2_norm_power_iteration(matrix)
+        assert got.hex() == _allocating_power_iteration(matrix).hex()

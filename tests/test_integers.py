@@ -79,6 +79,9 @@ _BAD = {
     "suite max_points": (lambda: run_law_suite(max_points=1), "invariant.space"),
     "suite max_support": (lambda: run_law_suite(max_support=0), "invariant.measure"),
     "random table size": (lambda: random_metric_space(rng_from(0), 2.5), "invariant.space"),
+    "random table cap": (lambda: random_metric_space(RNG, 2**40), "invariant.size_cap"),
+    "random table one past cap": (lambda: random_metric_space(RNG, MAX_RANDOM_POINTS + 1),
+                                  "invariant.size_cap"),
     "random space cap": (lambda: random_space(rng_from(0), np.int64(MAX_RANDOM_POINTS + 1)),
                          "invariant.size_cap"),
     "euclidean points": (lambda: random_euclidean_space(RNG, 2.5, 2), "invariant.space"),

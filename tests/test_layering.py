@@ -11,24 +11,29 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kantorovich"
 TESTS = Path(__file__).resolve().parent
-# The weight core of ``measures`` (one check, the integer view of weights, the
-# Fraction view of exact weights, exact comparison of two weight vectors and convex
-# composition), the discrepancy helper of ``graded``, and of ``spaces`` the
+# The weight core of ``measures`` (one check, its canonical form, the integer view of
+# weights, the Fraction view of exact weights, exact comparison of two weight vectors
+# and convex composition), the discrepancy helper of ``graded``, of ``spaces`` the
 # table-size cap, the integer guard, the real-number guard and its array companion,
 # the norms of coordinate differences and the largest of discrepancies that keeps a
-# NaN; and the private path below.
-SHARED_PRIVATE = {"measures._weights", "measures._exact_weights", "measures._fractions",
-                  "measures._comparable", "measures._compose", "graded._discrepancy",
-                  "spaces._check_table_cap", "spaces._integer", "spaces._real",
-                  "spaces._real_array", "spaces._norm", "spaces._worst", "spaces._unguarded",
-                  "spaces._roster", "measures._measure", "power._multiset",
-                  "graded._nested_tuple", "graded._nested_multiset"}
+# NaN, the exact simplex draw of ``samplers`` on counts it does not check again; and
+# the private path below.
+SHARED_PRIVATE = {"measures._weights", "measures._canonical", "measures._exact_weights",
+                  "measures._fractions", "measures._comparable", "measures._compose",
+                  "graded._discrepancy", "spaces._check_table_cap", "spaces._integer",
+                  "spaces._real", "spaces._real_array", "spaces._norm", "spaces._worst",
+                  "spaces._unguarded", "spaces._roster", "measures._measure",
+                  "power._multiset", "graded._nested_tuple", "graded._nested_multiset",
+                  "monad._nested_measure", "samplers._random_measure",
+                  "samplers._simplex_fractions"}
 # The private path: spaces._unguarded sets an object's fields past the checks of its
-# public constructor; spaces._roster, measures._measure, power._multiset and graded's
-# _nested_tuple and _nested_multiset put the numbers they are given in canonical form
-# and go through it.
+# public constructor; spaces._roster, measures._measure, power._multiset, graded's
+# _nested_tuple and _nested_multiset and monad._nested_measure put the numbers they are
+# given in canonical form and go through it; and the samplers' private draws build
+# through them on counts their caller checked.
 PRIVATE_PATH = {"_unguarded", "_roster", "_measure", "_multiset", "_nested_tuple",
-                "_nested_multiset"}
+                "_nested_multiset", "_nested_measure", "_random_measure", "_random_metric_space",
+                "_random_euclidean_space"}
 
 
 def _modules() -> dict[str, ast.Module]:

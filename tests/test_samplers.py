@@ -4,6 +4,7 @@ stream as one ``integers(low, high, size=k)`` call and leave the generator
 in the same state, so every seeded law check keeps its instances. A numpy
 release that breaks this fails here first, not as a moved law digest."""
 
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -11,15 +12,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kantorovich.algebras
 import kantorovich.cli
 import kantorovich.graded
 import kantorovich.laws
 import kantorovich.monad
-from kantorovich import (DiscreteMeasure, FinUnifMap, FiniteMetricSpace, MultiSet, NestedMultiSet,
-                         NestedTuple, PointTuple, ValidationError, curry_flatten, dirac, empirical,
+from kantorovich import (ConvexAlgebra, Coupling, DiscreteMeasure, DualPotential, FinUnifMap,
+                         FiniteMetricSpace, MultiSet, NestedMeasure, NestedMultiSet, NestedTuple,
+                         PointTuple, ValidationError, check_algebra_laws, check_expectation_flatten,
+                         check_monad_laws, check_ppx_square, curry_flatten, dirac, empirical,
                          empirical_sym, flatten_multiset, mixture, nested_dirac,
                          nested_weight_discrepancy, precompose, quotient, repeat_embedding,
-                         run_law_suite, unit_discrepancy_multiset, unit_discrepancy_tuple)
+                         run_law_suite, unit_discrepancy_multiset, unit_discrepancy_tuple, w1_flow)
 from kantorovich.samplers import (random_euclidean_space, random_measure, random_metric_space,
                                   random_multiset, random_nested_multiset, random_nested_tuple,
                                   random_rational_pair, random_space, random_tuple, rng_from,
@@ -105,7 +109,8 @@ def _types(values):
 
 
 def _fields(made):
-    """Every stored field of a space, measure, tuple, multiset or nesting,
+    """Every stored field of a space, measure, tuple, multiset, nesting,
+    nested measure, coupling or potential,
     arrays as dtype, shape, bytes and writeable flag, and the types of the
     indices, next to the same fields of what its public constructor builds
     from them."""
@@ -123,18 +128,56 @@ def _fields(made):
     if isinstance(made, NestedTuple):
         public = NestedTuple(made.space, made.rows)
         return [(t.space, t.rows, [_types(row) for row in t.rows]) for t in (made, public)]
+    if isinstance(made, NestedMeasure):
+        weights = ((made.outer_weights.tolist(),) if made.outer_den is None
+                   else (made.outer_nums, made.outer_den))
+        public = NestedMeasure(made.space, made.inner, *weights)
+        return [(mu.space, mu.inner, _bits(mu.outer_weights), mu.outer_nums,
+                 _types(mu.outer_nums or ()), mu.outer_den, type(mu.outer_den))
+                for mu in (made, public)]
+    if isinstance(made, Coupling):
+        public = Coupling(made.p, made.q, made.matrix)
+        return [(c.p, c.q, c.shape, _bits(c._index), _bits(c._mass)) for c in (made, public)]
+    if isinstance(made, DualPotential):
+        public = DualPotential(made.points, made.values.tolist())
+        return [(f.points, _types(f.points), _bits(f.values)) for f in (made, public)]
     public = NestedMultiSet(made.space, [s.entries for s in made.inners])
     return [(t.space, [(s.space, s.entries, _types(s.entries)) for s in t.inners])
             for t in (made, public)]
 
 
-def test_private_path_builds_what_the_public_constructors_build():
+def test_private_path_builds_what_the_public_constructors_build(monkeypatch):
     # The samplers, to_metric, mixture, dirac, the empirical maps, the
-    # quotients, embeddings and flattenings build their values past the
-    # public constructors' checks. Each must be in the canonical form those
-    # build: sorted support with equal points merged and zero weights
-    # dropped, a reduced denominator, sorted multisets, read-only arrays.
-    made = []
+    # quotients, embeddings and flattenings, the nested measures of the monad
+    # and algebra checks, and W1 results build their values past the public
+    # constructors' checks. Each must be in the canonical form those build:
+    # sorted support with equal points merged and zero weights dropped, a
+    # reduced denominator, a deduplicated roster of inner measures, sorted
+    # multisets, read-only arrays.
+    nested = []  # every nested measure the law checks take the expectation of or compare
+
+    def recorded(function):
+        def record(*args):
+            nested.extend(args)
+            return function(*args)
+        return record
+
+    for module in (kantorovich.monad, kantorovich.algebras):
+        monkeypatch.setattr(module, "expectation", recorded(kantorovich.monad.expectation))
+    monkeypatch.setattr(kantorovich.monad, "nested_weight_discrepancy",
+                        recorded(nested_weight_discrepancy))
+    check_monad_laws(30, seed=4)
+    check_monad_laws(10, seed=5, exact=False)
+    for norm in ("l1", "l2", "linf"):
+        check_algebra_laws(ConvexAlgebra(2, norm), 10, seed=6)
+    for trial in range(20):
+        rng = rng_from(30, trial)
+        nms = random_nested_multiset(rng, random_space(rng), trial % 4 + 1, trial % 3 + 1)
+        check_expectation_flatten(nms)
+        check_ppx_square(nms)
+    assert {type(mu) for mu in nested} == {NestedMeasure}
+    assert any(mu.outer_den is None for mu in nested) and any(len(mu) > 1 for mu in nested)
+    made = [*nested]
     for trial in range(60):
         rng = rng_from(29, trial)
         space = random_space(rng)
@@ -155,12 +198,20 @@ def test_private_path_builds_what_the_public_constructors_build():
         made += [t, ms, nt, nms, empirical(t), empirical_sym(ms), quotient(t),
                  repeat_embedding(ms, 3), precompose(phi, t), curry_flatten(nt),
                  flatten_multiset(nms)]
+        result = w1_flow(exact[0], floats[0] if trial % 2 else exact[1])
+        made += [result.coupling, result.dual]
     assert {type(m) for m in made} == {FiniteMetricSpace, DiscreteMeasure, PointTuple, MultiSet,
-                                       NestedTuple, NestedMultiSet}
+                                       NestedTuple, NestedMultiSet, NestedMeasure, Coupling,
+                                       DualPotential}
     assert any(p.den is None for p in made if isinstance(p, DiscreteMeasure))
     for m in made:
         private, public = _fields(m)
         assert private == public
+        # Slotted classes keep no __dict__, and a frozen dataclass stays frozen.
+        assert not hasattr(m, "__dict__")
+        if isinstance(m, (Coupling, DualPotential)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, m.__slots__[0], None)
     # The arguments a caller passes are still checked, as the norm of a roster.
     with pytest.raises(ValidationError, match="unknown norm") as info:
         random_euclidean_space(rng_from(0), 3, 2, "l3")
